@@ -8,9 +8,9 @@ from .analysis import (GapSurface, RefinedMin, SweepResult, compare_families,
                        refine_argmin, scan_gap, sweep_s)
 from .bounds import (BOUND_ABS_TOL, BOUND_REL_TOL, CHAIN_TOL, BoundReport,
                      ChainEvaluation, Corner, TheoremId, chain_evaluate,
-                     corner_report, midpoint_report, mixed_abs,
-                     remark_aggregate, t1_report, t1_rhs, t2_report, t2_rhs,
-                     t3_report, t3_rhs)
+                     corner_report, family_report, family_rhs,
+                     midpoint_report, remark_aggregate, t1_report, t1_rhs,
+                     t2_report, t2_rhs, t3_report, t3_rhs)
 from .domain import (BadExponent, DegenerateRect, EvalPoint, HolderPair,
                      NormalizationMode, PowerMeanQ, PrefactorMode, Rect,
                      SExponent, make_holder_pair, make_rect)
@@ -51,9 +51,10 @@ __all__ = [
     "LemmaEvaluation", "ExactLemmaEvaluation", "corner_term_A", "lemma_lhs",
     "lemma_rhs", "lemma_residual", "lemma_residual_exact",
     # bounds
-    "TheoremId", "Corner", "BoundReport", "ChainEvaluation", "mixed_abs",
-    "t1_rhs", "t2_rhs", "t3_rhs", "t1_report", "t2_report", "t3_report",
-    "corner_report", "midpoint_report", "remark_aggregate", "chain_evaluate",
+    "TheoremId", "Corner", "BoundReport", "ChainEvaluation", "family_rhs",
+    "family_report", "t1_rhs", "t2_rhs", "t3_rhs", "t1_report", "t2_report",
+    "t3_report", "corner_report", "midpoint_report", "remark_aggregate",
+    "chain_evaluate",
     "BOUND_ABS_TOL", "BOUND_REL_TOL", "CHAIN_TOL",
     # analysis
     "GapSurface", "SweepResult", "RefinedMin", "scan_gap", "sweep_s",

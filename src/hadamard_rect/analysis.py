@@ -9,8 +9,8 @@ import numpy as np
 
 from .domain import EvalPoint, NormalizationMode, PrefactorMode, Rect
 from .identity import lemma_lhs
-from .bounds import (BoundReport, TheoremId, t1_report, t1_rhs, t2_report,
-                     t2_rhs, t3_report, t3_rhs)
+from .bounds import (BoundReport, TheoremId, family_report, family_rhs,
+                     t1_report, t2_report, t3_report)
 from .quad import QuadConfig, ToleranceNotMet
 from .surfaces import EvalError, Surface
 
@@ -53,21 +53,6 @@ class RefinedMin:
     iterations: int
 
 
-def _family_rhs(theorem: TheoremId, f: Surface, rect: Rect, pt: EvalPoint,
-                s: float, q: float | None, constant_mode: PrefactorMode) -> float:
-    if theorem is TheoremId.T1:
-        return t1_rhs(f, rect, pt, s)
-    if theorem is TheoremId.T2:
-        if q is None:
-            raise ValueError("the Holder family needs q")
-        return t2_rhs(f, rect, pt, s, q)
-    if theorem is TheoremId.T3:
-        if q is None:
-            raise ValueError("the power-mean family needs q")
-        return t3_rhs(f, rect, pt, s, q, constant_mode)
-    raise ValueError(f"scans cover the point families only, got {theorem}")
-
-
 def scan_gap(theorem: TheoremId, f: Surface, rect: Rect, s: float,
              q: float | None = None, grid_n: int = 8,
              constant_mode: PrefactorMode = PrefactorMode.VERBATIM,
@@ -77,6 +62,7 @@ def scan_gap(theorem: TheoremId, f: Surface, rect: Rect, s: float,
     boundary. Deterministic: no randomness anywhere in the scan."""
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
+    rhs_at = family_rhs(theorem, s, q, constant_mode)
     xs = [rect.a + i * (rect.b - rect.a) / grid_n for i in range(grid_n + 1)]
     ys = [rect.c + j * (rect.d - rect.c) / grid_n for j in range(grid_n + 1)]
     rows = []
@@ -86,7 +72,7 @@ def scan_gap(theorem: TheoremId, f: Surface, rect: Rect, s: float,
             pt = EvalPoint(x, y)
             try:
                 lhs = abs(lemma_lhs(f, rect, pt, mode, cfg))
-                rhs = _family_rhs(theorem, f, rect, pt, s, q, constant_mode)
+                rhs = rhs_at(f, rect, pt)
                 rows.append((x, y, lhs, rhs, rhs - lhs))
             except (EvalError, ToleranceNotMet) as exc:
                 errors.append((ix, iy, str(exc)))
@@ -120,10 +106,12 @@ def refine_argmin(theorem: TheoremId, f: Surface, rect: Rect, s: float,
 
     Purely local polish; the scan stays the source of truth for coverage.
     """
+    rhs_at = family_rhs(theorem, s, q, constant_mode)
+
     def margin_at(x, y):
         pt = EvalPoint(min(max(x, rect.a), rect.b), min(max(y, rect.c), rect.d))
         lhs = abs(lemma_lhs(f, rect, pt, mode, cfg))
-        return _family_rhs(theorem, f, rect, pt, s, q, constant_mode) - lhs
+        return rhs_at(f, rect, pt) - lhs
 
     x, y = start
     x = min(max(x, rect.a), rect.b)
@@ -150,19 +138,8 @@ def sweep_s(theorem: TheoremId, f: Surface, rect: Rect, pt: EvalPoint,
             cfg: QuadConfig = QuadConfig()) -> SweepResult:
     """One report per s. The rhs trend is reported descriptively; nothing
     about monotonicity in s is asserted."""
-    if q is None and theorem in (TheoremId.T2, TheoremId.T3):
-        raise ValueError(f"the {('Holder' if theorem is TheoremId.T2 else 'power-mean')} "
-                         "family needs q")
-    reports = []
-    for s in s_values:
-        if theorem is TheoremId.T1:
-            reports.append(t1_report(f, rect, pt, s, mode, cfg))
-        elif theorem is TheoremId.T2:
-            reports.append(t2_report(f, rect, pt, s, q, mode, cfg))
-        elif theorem is TheoremId.T3:
-            reports.append(t3_report(f, rect, pt, s, q, constant_mode, mode, cfg))
-        else:
-            raise ValueError(f"sweeps cover the point families only, got {theorem}")
+    reports = [family_report(theorem, f, rect, pt, s, q, constant_mode, mode, cfg)
+               for s in s_values]
     rhs = [r.rhs for r in reports]
     if len(rhs) < 2:
         trend = "n/a"

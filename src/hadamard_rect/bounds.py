@@ -1,7 +1,8 @@
 """Upper bounds on the identity's left side under coordinated s-convexity
 of |d^2 f / du dv| (or its q-th power), plus the five-term mean chain.
 
-Three families:
+Three families, each written once as a function of |D| on the nine points
+{a, x, b} x {c, y, d}, which one mixed-partial call per point evaluates:
 
 - t1 (first power): kernel moments integrate to 1/((s+1)(s+2)) and the
   bound groups by evaluation point.
@@ -11,13 +12,18 @@ Three families:
   constant 2^(2-2/q) is kept verbatim, with the sharper 2^(2/q-2) available
   side by side. At q = 1 the family collapses onto t1 exactly.
 
-Corner and midpoint specializations follow the displayed formulas; each one
-equals its family bound evaluated at that point (tested, not assumed).
-All left sides use the corrected normalization unless told otherwise.
+Each specialization is its family bound at a point: the corner ones at
+their corner, the midpoint ones at the midpoint, and each remark aggregate
+is the area times the family bound summed over the four corners. The
+paper's displayed corner, midpoint and aggregate formulas are not used
+here; they are the independent oracle of the tests and of acceptance
+check c6. All left sides use the corrected normalization unless told
+otherwise.
 """
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,10 +38,10 @@ from .quad import (DEEP, QuadConfig, integrate_1d, integrate_2d,
 from .surfaces import (SamplerConfig, Surface, Verdict, certify_coordinated)
 
 __all__ = [
-    "TheoremId", "Corner", "BoundReport", "ChainEvaluation", "mixed_abs",
-    "t1_rhs", "t2_rhs", "t3_rhs", "t1_report", "t2_report", "t3_report",
-    "corner_report", "midpoint_report", "remark_aggregate", "chain_evaluate",
-    "BOUND_ABS_TOL", "BOUND_REL_TOL", "CHAIN_TOL",
+    "TheoremId", "Corner", "BoundReport", "ChainEvaluation", "family_rhs",
+    "family_report", "t1_rhs", "t2_rhs", "t3_rhs", "t1_report", "t2_report",
+    "t3_report", "corner_report", "midpoint_report", "remark_aggregate",
+    "chain_evaluate", "BOUND_ABS_TOL", "BOUND_REL_TOL", "CHAIN_TOL",
 ]
 
 BOUND_ABS_TOL = 1e-10
@@ -87,21 +93,21 @@ class Corner(Enum):
         return EvalPoint(u, v)
 
 
+_FAMILY_NAMES = {TheoremId.T1: "first-power", TheoremId.T2: "Holder",
+                 TheoremId.T3: "power-mean"}
+
 # displayed part numbers: the (a,c) specialization is part 1, (b,d) part 2,
 # (a,d) part 3, (b,c) part 4, for all three families
 _CORNER_PART = {Corner.AC: 1, Corner.BD: 2, Corner.AD: 3, Corner.BC: 4}
 
-_CORNER_IDS = {
-    (TheoremId.T1, 1): TheoremId.C1_1, (TheoremId.T1, 2): TheoremId.C1_2,
-    (TheoremId.T1, 3): TheoremId.C1_3, (TheoremId.T1, 4): TheoremId.C1_4,
-    (TheoremId.T2, 1): TheoremId.C2_1, (TheoremId.T2, 2): TheoremId.C2_2,
-    (TheoremId.T2, 3): TheoremId.C2_3, (TheoremId.T2, 4): TheoremId.C2_4,
-    (TheoremId.T3, 1): TheoremId.C3_1, (TheoremId.T3, 2): TheoremId.C3_2,
-    (TheoremId.T3, 3): TheoremId.C3_3, (TheoremId.T3, 4): TheoremId.C3_4,
-}
+_CORNER_IDS = {(family, corner): TheoremId(f"c{family.value[1]}_{part}")
+               for family in _FAMILY_NAMES for corner, part in _CORNER_PART.items()}
 
 _MID_IDS = {TheoremId.T1: TheoremId.C1_MID, TheoremId.T2: TheoremId.C2_5,
             TheoremId.T3: TheoremId.C3_5}
+
+_AGGREGATE_FAMILY = {TheoremId.R_C15: TheoremId.T1, TheoremId.R_METU: TheoremId.T2,
+                     TheoremId.R_FINAL: TheoremId.T3}
 
 
 @dataclass(frozen=True)
@@ -131,10 +137,6 @@ class ChainEvaluation:
         return (self.e0, self.e1, self.e2, self.e3, self.e4)
 
 
-def mixed_abs(f: Surface, u: float, v: float) -> float:
-    return abs(f.mixed_partial(u, v))
-
-
 def _finish(tid: TheoremId, lhs: float, rhs: float, params: dict,
             certified: bool | None = None) -> BoundReport:
     tol = BOUND_ABS_TOL + BOUND_REL_TOL * abs(rhs)
@@ -153,78 +155,96 @@ def _params(rect: Rect, pt: EvalPoint | None, s: float, mode: NormalizationMode,
     return out
 
 
-def _quadrant_eval_points(rect: Rect, pt: EvalPoint):
-    """Per quadrant: (squared weight product, edge pt, edge pt, corner pt).
+# ---------------------------------------------------------------------------
+# the three families, written once over the |D| stencil
+# ---------------------------------------------------------------------------
 
-    The inner evaluation set of the Holder/power-mean families, canonical
-    corner order.
+def _stencil(f: Surface, rect: Rect, pt: EvalPoint) -> list[list[float]]:
+    """|D| on {a, x, b} x {c, y, d} from one mixed-partial call.
+
+    D[i][j] is |D| at the i-th of (a, x, b) and the j-th of (c, y, d).
     """
-    a, b, c, d = rect.a, rect.b, rect.c, rect.d
-    x, y = pt.x, pt.y
-    return (
-        ((x - a) ** 2 * (y - c) ** 2, (x, c), (a, y), (a, c)),
-        ((x - a) ** 2 * (d - y) ** 2, (x, d), (a, y), (a, d)),
-        ((b - x) ** 2 * (y - c) ** 2, (x, c), (b, y), (b, c)),
-        ((b - x) ** 2 * (d - y) ** 2, (x, d), (b, y), (b, d)),
-    )
+    u, v = np.meshgrid((rect.a, pt.x, rect.b), (rect.c, pt.y, rect.d), indexing="ij")
+    return np.abs(f.mixed_partial(u, v)).tolist()
 
 
-# ---------------------------------------------------------------------------
-# the three point bounds
-# ---------------------------------------------------------------------------
-
-def t1_rhs(f: Surface, rect: Rect, pt: EvalPoint, s: float) -> float:
+def _t1(D: list[list[float]], rect: Rect, pt: EvalPoint, s: float) -> float:
     """First-power bound, grouped by evaluation point."""
-    SExponent(s)
     a, b, c, d = rect.a, rect.b, rect.c, rect.d
     x, y = pt.x, pt.y
     wx = (x - a) ** 2 + (b - x) ** 2
     wy = (y - c) ** 2 + (d - y) ** 2
     s1 = s + 1.0
-    D = lambda u, v: mixed_abs(f, u, v)
-    acc = wx * wy / s1 ** 2 * D(x, y)
-    acc += (x - a) ** 2 * wy / s1 * D(a, y)
-    acc += (b - x) ** 2 * wy / s1 * D(b, y)
-    acc += (y - c) ** 2 * wx / s1 * D(x, c)
-    acc += (d - y) ** 2 * wx / s1 * D(x, d)
-    acc += (x - a) ** 2 * (y - c) ** 2 * D(a, c)
-    acc += (x - a) ** 2 * (d - y) ** 2 * D(a, d)
-    acc += (b - x) ** 2 * (y - c) ** 2 * D(b, c)
-    acc += (b - x) ** 2 * (d - y) ** 2 * D(b, d)
+    acc = wx * wy / s1 ** 2 * D[1][1]
+    acc += (x - a) ** 2 * wy / s1 * D[0][1]
+    acc += (b - x) ** 2 * wy / s1 * D[2][1]
+    acc += (y - c) ** 2 * wx / s1 * D[1][0]
+    acc += (d - y) ** 2 * wx / s1 * D[1][2]
+    acc += (x - a) ** 2 * (y - c) ** 2 * D[0][0]
+    acc += (x - a) ** 2 * (d - y) ** 2 * D[0][2]
+    acc += (b - x) ** 2 * (y - c) ** 2 * D[2][0]
+    acc += (b - x) ** 2 * (d - y) ** 2 * D[2][2]
     return acc / (rect.area * (s + 2.0) ** 2)
+
+
+def _quadrant_sum(D: list[list[float]], rect: Rect, pt: EvalPoint, q: float,
+                  edge_w: float, corner_w: float) -> float:
+    """Sum over the quadrants, in canonical corner order, of the squared
+    weight product / area times the q-mean of (x, y), the quadrant's two
+    edge points and its corner: the Holder family weighs them (1, 1, 1, 1),
+    the power-mean family (1, s+1, s+1, (s+1)^2)."""
+    x, y = pt.x, pt.y
+    dxy = D[1][1] ** q
+    acc = 0.0
+    for i, wu in ((0, (x - rect.a) ** 2), (2, (rect.b - x) ** 2)):
+        for j, wv in ((0, (y - rect.c) ** 2), (2, (rect.d - y) ** 2)):
+            inner = (dxy + edge_w * D[1][j] ** q + edge_w * D[i][1] ** q
+                     + corner_w * D[i][j] ** q)
+            acc += wu * wv / rect.area * inner ** (1.0 / q)
+    return acc
+
+
+def family_rhs(theorem: TheoremId, s: float, q: float | None = None,
+               constant_mode: PrefactorMode = PrefactorMode.VERBATIM
+               ) -> Callable[[Surface, Rect, EvalPoint], float]:
+    """The right side of family t1, t2 or t3 as a function of (f, rect, pt).
+
+    s and q are checked here, once, so a caller can check them before it
+    computes any left side. Each evaluation makes one mixed-partial call.
+    """
+    if theorem not in _FAMILY_NAMES:
+        raise ValueError(f"{theorem} is not a bound family (t1, t2, t3)")
+    SExponent(s)
+    s1 = s + 1.0
+    if theorem is TheoremId.T1:
+        return lambda f, rect, pt: _t1(_stencil(f, rect, pt), rect, pt, s)
+    if q is None:
+        raise ValueError(f"the {_FAMILY_NAMES[theorem]} family needs q")
+    if theorem is TheoremId.T2:
+        kernel = holder_kernel_constant(make_holder_pair(q).p)
+        return lambda f, rect, pt: (
+            _quadrant_sum(_stencil(f, rect, pt), rect, pt, q, 1.0, 1.0)
+            * kernel / s1 ** (2.0 / q))
+    PowerMeanQ(q)
+    scale = power_mean_prefactor(q, constant_mode) / (s1 * (s + 2.0)) ** (2.0 / q)
+    return lambda f, rect, pt: scale * _quadrant_sum(
+        _stencil(f, rect, pt), rect, pt, q, s1, s1 ** 2)
+
+
+def t1_rhs(f: Surface, rect: Rect, pt: EvalPoint, s: float) -> float:
+    """First-power bound, grouped by evaluation point."""
+    return family_rhs(TheoremId.T1, s)(f, rect, pt)
 
 
 def t2_rhs(f: Surface, rect: Rect, pt: EvalPoint, s: float, q: float) -> float:
     """Holder-type bound; q > 1, conjugate p = q/(q-1)."""
-    SExponent(s)
-    hp = make_holder_pair(q)
-    D = lambda u, v: mixed_abs(f, u, v)
-    dxy = D(pt.x, pt.y)
-    acc = 0.0
-    for w2, pe, pv, pc in _quadrant_eval_points(rect, pt):
-        if w2 == 0.0:
-            continue
-        inner = dxy ** q + D(*pe) ** q + D(*pv) ** q + D(*pc) ** q
-        acc += w2 / rect.area * inner ** (1.0 / q)
-    return acc * holder_kernel_constant(hp.p) / (s + 1.0) ** (2.0 / q)
+    return family_rhs(TheoremId.T2, s, q)(f, rect, pt)
 
 
 def t3_rhs(f: Surface, rect: Rect, pt: EvalPoint, s: float, q: float,
            constant_mode: PrefactorMode = PrefactorMode.VERBATIM) -> float:
     """Power-mean bound; q >= 1. At q = 1 it equals t1_rhs exactly."""
-    SExponent(s)
-    PowerMeanQ(q)
-    D = lambda u, v: mixed_abs(f, u, v)
-    dxy = D(pt.x, pt.y)
-    s1 = s + 1.0
-    acc = 0.0
-    for w2, pe, pv, pc in _quadrant_eval_points(rect, pt):
-        if w2 == 0.0:
-            continue
-        inner = dxy ** q + s1 * D(*pe) ** q + s1 * D(*pv) ** q + s1 ** 2 * D(*pc) ** q
-        acc += w2 / rect.area * inner ** (1.0 / q)
-    pref = power_mean_prefactor(q, constant_mode)
-    return pref / ((s + 1.0) * (s + 2.0)) ** (2.0 / q) * acc
+    return family_rhs(TheoremId.T3, s, q, constant_mode)(f, rect, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -241,25 +261,48 @@ def _certify_abs_mixed(f: Surface, rect: Rect, s: float, power: float,
     return ok
 
 
+def _report(tid: TheoremId, family: TheoremId, f: Surface, rect: Rect,
+            pt: EvalPoint, s: float, q: float | None, constant_mode: PrefactorMode,
+            mode: NormalizationMode, cfg: QuadConfig, certify: bool = False,
+            sampler: SamplerConfig = SamplerConfig(), **extra) -> BoundReport:
+    """The family bound at pt against the left side there, reported as tid."""
+    rhs_at = family_rhs(family, s, q, constant_mode)
+    power = 1.0 if family is TheoremId.T1 else q
+    certified = _certify_abs_mixed(f, rect, s, power, sampler) if certify else None
+    lhs = abs(lemma_lhs(f, rect, pt, mode, cfg))
+    if family is not TheoremId.T1:
+        extra["q"] = q
+    if family is TheoremId.T3:
+        extra["constant"] = constant_mode.value
+    return _finish(tid, lhs, rhs_at(f, rect, pt), _params(rect, pt, s, mode, **extra),
+                   certified)
+
+
+def family_report(theorem: TheoremId, f: Surface, rect: Rect, pt: EvalPoint,
+                  s: float, q: float | None = None,
+                  constant_mode: PrefactorMode = PrefactorMode.VERBATIM,
+                  mode: NormalizationMode = NormalizationMode.CORRECTED,
+                  cfg: QuadConfig = QuadConfig(), certify: bool = False,
+                  sampler: SamplerConfig = SamplerConfig()) -> BoundReport:
+    """Report of family t1, t2 or t3 at pt."""
+    return _report(theorem, theorem, f, rect, pt, s, q, constant_mode, mode, cfg,
+                   certify, sampler)
+
+
 def t1_report(f: Surface, rect: Rect, pt: EvalPoint, s: float,
               mode: NormalizationMode = NormalizationMode.CORRECTED,
               cfg: QuadConfig = QuadConfig(), certify: bool = False,
               sampler: SamplerConfig = SamplerConfig()) -> BoundReport:
-    certified = _certify_abs_mixed(f, rect, s, 1.0, sampler) if certify else None
-    lhs = abs(lemma_lhs(f, rect, pt, mode, cfg))
-    rhs = t1_rhs(f, rect, pt, s)
-    return _finish(TheoremId.T1, lhs, rhs, _params(rect, pt, s, mode), certified)
+    return family_report(TheoremId.T1, f, rect, pt, s, None, PrefactorMode.VERBATIM,
+                         mode, cfg, certify, sampler)
 
 
 def t2_report(f: Surface, rect: Rect, pt: EvalPoint, s: float, q: float,
               mode: NormalizationMode = NormalizationMode.CORRECTED,
               cfg: QuadConfig = QuadConfig(), certify: bool = False,
               sampler: SamplerConfig = SamplerConfig()) -> BoundReport:
-    certified = _certify_abs_mixed(f, rect, s, q, sampler) if certify else None
-    lhs = abs(lemma_lhs(f, rect, pt, mode, cfg))
-    rhs = t2_rhs(f, rect, pt, s, q)
-    return _finish(TheoremId.T2, lhs, rhs, _params(rect, pt, s, mode, q=q),
-                   certified)
+    return family_report(TheoremId.T2, f, rect, pt, s, q, PrefactorMode.VERBATIM,
+                         mode, cfg, certify, sampler)
 
 
 def t3_report(f: Surface, rect: Rect, pt: EvalPoint, s: float, q: float,
@@ -267,12 +310,8 @@ def t3_report(f: Surface, rect: Rect, pt: EvalPoint, s: float, q: float,
               mode: NormalizationMode = NormalizationMode.CORRECTED,
               cfg: QuadConfig = QuadConfig(), certify: bool = False,
               sampler: SamplerConfig = SamplerConfig()) -> BoundReport:
-    certified = _certify_abs_mixed(f, rect, s, q, sampler) if certify else None
-    lhs = abs(lemma_lhs(f, rect, pt, mode, cfg))
-    rhs = t3_rhs(f, rect, pt, s, q, constant_mode)
-    return _finish(TheoremId.T3, lhs, rhs,
-                   _params(rect, pt, s, mode, q=q, constant=constant_mode.value),
-                   certified)
+    return family_report(TheoremId.T3, f, rect, pt, s, q, constant_mode,
+                         mode, cfg, certify, sampler)
 
 
 def corner_report(theorem: TheoremId, corner: Corner, f: Surface, rect: Rect,
@@ -280,43 +319,12 @@ def corner_report(theorem: TheoremId, corner: Corner, f: Surface, rect: Rect,
                   mode: NormalizationMode = NormalizationMode.CORRECTED,
                   constant_mode: PrefactorMode = PrefactorMode.VERBATIM,
                   cfg: QuadConfig = QuadConfig()) -> BoundReport:
-    """Corner specialization of a bound family, per the displayed formulas."""
-    SExponent(s)
-    pt = corner.point(rect)
-    opp = corner.opposite(rect)
-    lhs = abs(lemma_lhs(f, rect, pt, mode, cfg))
-    D = lambda u, v: mixed_abs(f, u, v)
-    dc = D(pt.x, pt.y)
-    dm1 = D(pt.x, opp.y)       # shares the corner's x
-    dm2 = D(opp.x, pt.y)       # shares the corner's y
-    do = D(opp.x, opp.y)
-    area = rect.area
-    s1 = s + 1.0
-    extra: dict = {}
-    if theorem is TheoremId.T1:
-        rhs = area / (s + 2.0) ** 2 * (dc / s1 ** 2 + (dm1 + dm2) / s1 + do)
-    elif theorem is TheoremId.T2:
-        if q is None:
-            raise ValueError("the Holder family needs q")
-        hp = make_holder_pair(q)
-        csum = sum(D(p.x, p.y) ** q for p in rect.corners())
-        rhs = (area * holder_kernel_constant(hp.p) / s1 ** (2.0 / q)
-               * csum ** (1.0 / q))
-        extra["q"] = q
-    elif theorem is TheoremId.T3:
-        if q is None:
-            raise ValueError("the power-mean family needs q")
-        PowerMeanQ(q)
-        inner = dc ** q + s1 * (dm1 ** q + dm2 ** q) + s1 ** 2 * do ** q
-        rhs = (power_mean_prefactor(q, constant_mode) * area
-               / (s1 * (s + 2.0)) ** (2.0 / q) * inner ** (1.0 / q))
-        extra["q"] = q
-        extra["constant"] = constant_mode.value
-    else:
+    """Corner specialization: the family bound at the corner."""
+    tid = _CORNER_IDS.get((theorem, corner))
+    if tid is None:
         raise ValueError(f"no corner specialization for {theorem}")
-    tid = _CORNER_IDS[(theorem, _CORNER_PART[corner])]
-    return _finish(tid, lhs, rhs,
-                   _params(rect, pt, s, mode, corner=corner.value, **extra))
+    return _report(tid, theorem, f, rect, corner.point(rect), s, q, constant_mode,
+                   mode, cfg, corner=corner.value)
 
 
 def midpoint_report(theorem: TheoremId, f: Surface, rect: Rect, s: float,
@@ -324,51 +332,12 @@ def midpoint_report(theorem: TheoremId, f: Surface, rect: Rect, s: float,
                     mode: NormalizationMode = NormalizationMode.CORRECTED,
                     constant_mode: PrefactorMode = PrefactorMode.VERBATIM,
                     cfg: QuadConfig = QuadConfig()) -> BoundReport:
-    """Midpoint specialization, per the displayed formulas."""
-    SExponent(s)
-    mid = rect.midpoint()
-    lhs = abs(lemma_lhs(f, rect, mid, mode, cfg))
-    D = lambda u, v: mixed_abs(f, u, v)
-    a, b, c, d = rect.a, rect.b, rect.c, rect.d
-    mx, my = mid.x, mid.y
-    area = rect.area
-    s1 = s + 1.0
-    extra: dict = {}
-    if theorem is TheoremId.T1:
-        corner_sum = sum(D(p.x, p.y) for p in rect.corners())
-        rhs = area / (4.0 * (s + 2.0) ** 2) * (
-            D(mx, my) / s1 ** 2
-            + (D(a, my) + D(b, my)) / (2.0 * s1)
-            + (D(mx, c) + D(mx, d)) / (2.0 * s1)
-            + corner_sum / 4.0)
-    elif theorem is TheoremId.T2:
-        if q is None:
-            raise ValueError("the Holder family needs q")
-        hp = make_holder_pair(q)
-        dm = D(mx, my)
-        quads = (((mx, c), (a, my), (a, c)), ((mx, d), (a, my), (a, d)),
-                 ((mx, c), (b, my), (b, c)), ((mx, d), (b, my), (b, d)))
-        total = sum((dm ** q + D(*pe) ** q + D(*pv) ** q + D(*pc) ** q) ** (1.0 / q)
-                    for pe, pv, pc in quads)
-        rhs = area / 16.0 * holder_kernel_constant(hp.p) / s1 ** (2.0 / q) * total
-        extra["q"] = q
-    elif theorem is TheoremId.T3:
-        if q is None:
-            raise ValueError("the power-mean family needs q")
-        PowerMeanQ(q)
-        dm = D(mx, my)
-        quads = (((mx, c), (a, my), (a, c)), ((mx, d), (a, my), (a, d)),
-                 ((mx, c), (b, my), (b, c)), ((mx, d), (b, my), (b, d)))
-        total = sum((dm ** q + s1 * D(*pe) ** q + s1 * D(*pv) ** q
-                     + s1 ** 2 * D(*pc) ** q) ** (1.0 / q)
-                    for pe, pv, pc in quads)
-        rhs = (power_mean_prefactor(q, constant_mode) * area / 16.0
-               / (s1 * (s + 2.0)) ** (2.0 / q) * total)
-        extra["q"] = q
-        extra["constant"] = constant_mode.value
-    else:
+    """Midpoint specialization: the family bound at the midpoint."""
+    tid = _MID_IDS.get(theorem)
+    if tid is None:
         raise ValueError(f"no midpoint specialization for {theorem}")
-    return _finish(_MID_IDS[theorem], lhs, rhs, _params(rect, mid, s, mode, **extra))
+    return _report(tid, theorem, f, rect, rect.midpoint(), s, q, constant_mode,
+                   mode, cfg)
 
 
 def remark_aggregate(remark: TheoremId, f: Surface, rect: Rect, s: float,
@@ -376,42 +345,19 @@ def remark_aggregate(remark: TheoremId, f: Surface, rect: Rect, s: float,
                      cfg: QuadConfig = QuadConfig()) -> BoundReport:
     """Summed corner inequalities (un-normalized: each corner value x area).
 
-    The right side of each aggregate equals the sum of the four corner
-    right sides times the area; that equivalence is a test, not an input.
+    Both sides are the area times the sum over the four corners of the
+    family's corner left side and right side (power-mean family with the
+    verbatim constant).
     """
-    SExponent(s)
+    family = _AGGREGATE_FAMILY.get(remark)
+    if family is None:
+        raise ValueError(f"not an aggregate id: {remark}")
+    rhs_at = family_rhs(family, s, q)
     area = rect.area
     lhs = sum(area * abs(lemma_lhs(f, rect, p, NormalizationMode.CORRECTED, cfg))
               for p in rect.corners())
-    D = lambda u, v: mixed_abs(f, u, v)
-    corner_vals = [D(p.x, p.y) for p in rect.corners()]
-    s1 = s + 1.0
-    extra: dict = {}
-    if remark is TheoremId.R_C15:
-        rhs = area ** 2 / s1 ** 2 * sum(corner_vals)
-    elif remark is TheoremId.R_METU:
-        if q is None:
-            raise ValueError("the Holder aggregate needs q")
-        hp = make_holder_pair(q)
-        rhs = (4.0 * area ** 2 * holder_kernel_constant(hp.p) / s1 ** (2.0 / q)
-               * sum(val ** q for val in corner_vals) ** (1.0 / q))
-        extra["q"] = q
-    elif remark is TheoremId.R_FINAL:
-        if q is None:
-            raise ValueError("the power-mean aggregate needs q")
-        PowerMeanQ(q)
-        dac, dad, dbc, dbd = corner_vals
-        inners = (
-            dac ** q + s1 * (dad ** q + dbc ** q) + s1 ** 2 * dbd ** q,
-            dbd ** q + s1 * (dbc ** q + dad ** q) + s1 ** 2 * dac ** q,
-            dad ** q + s1 * (dac ** q + dbd ** q) + s1 ** 2 * dbc ** q,
-            dbc ** q + s1 * (dbd ** q + dac ** q) + s1 ** 2 * dad ** q,
-        )
-        rhs = (4.0 * area ** 2 / (2.0 * s1 * (s + 2.0)) ** (2.0 / q)
-               * sum(val ** (1.0 / q) for val in inners))
-        extra["q"] = q
-    else:
-        raise ValueError(f"not an aggregate id: {remark}")
+    rhs = area * sum(rhs_at(f, rect, p) for p in rect.corners())
+    extra = {} if family is TheoremId.T1 else {"q": q}
     return _finish(remark, lhs, rhs, _params(rect, None, s, NormalizationMode.CORRECTED, **extra))
 
 

@@ -15,11 +15,13 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import compare_families, scan_gap, sweep_s
 from .bounds import (BOUND_ABS_TOL, CHAIN_TOL, BoundReport, Corner, TheoremId,
                      _certify_abs_mixed, chain_evaluate, corner_report,
-                     midpoint_report, t1_report, t2_report, t3_report)
+                     family_report, midpoint_report)
 from .domain import (BadExponent, DegenerateRect, EvalPoint, NormalizationMode,
                      PrefactorMode, Rect, make_rect)
 from .identity import lemma_residual
@@ -314,12 +316,9 @@ def cmd_lemma(ns) -> int:
 
 def _one_bound(theorem: str, f, rect, pt, s, q, mode, cmode, cfg,
                certify, sampler) -> BoundReport:
-    if theorem == "t1":
-        return t1_report(f, rect, pt, s, mode, cfg, certify, sampler)
-    if theorem == "t2":
-        return t2_report(f, rect, pt, s, q, mode, cfg, certify, sampler)
-    if theorem == "t3":
-        return t3_report(f, rect, pt, s, q, cmode, mode, cfg, certify, sampler)
+    if theorem in _POINT_FAMILIES:
+        return family_report(_POINT_FAMILIES[theorem], f, rect, pt, s, q, cmode,
+                             mode, cfg, certify, sampler)
     family_txt, _, part = theorem.partition("_")
     family = {"c1": TheoremId.T1, "c2": TheoremId.T2, "c3": TheoremId.T3}[family_txt]
     if part == "mid" or (family is not TheoremId.T1 and part == "5"):
@@ -666,7 +665,10 @@ def main(argv=None) -> int:
     try:
         if ns.config:
             apply_config(ns, load_config_file(ns.config))
-        return ns.handler(ns)
+        # every non-finite value already becomes an EvalError where it is
+        # computed, so numpy's own warnings would only repeat it on stderr
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return ns.handler(ns)
     except ToleranceNotMet as exc:
         print(f"error: quadrature did not reach tolerance: {exc}", file=sys.stderr)
         return 1

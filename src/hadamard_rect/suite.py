@@ -16,7 +16,8 @@ import numpy as np
 from .analysis import scan_gap
 from .bounds import (CHAIN_TOL, Corner, TheoremId, chain_evaluate, corner_report,
                      midpoint_report, remark_aggregate, t1_rhs, t2_rhs, t3_rhs)
-from .domain import EvalPoint, NormalizationMode, PrefactorMode, Rect
+from .domain import (EvalPoint, NormalizationMode, PrefactorMode, Rect,
+                     make_holder_pair)
 from .identity import lemma_lhs, lemma_residual, lemma_residual_exact
 from .quad import (DEEP, QuadConfig, holder_kernel_constant, integrate_1d,
                    integrate_2d, kernel_moment)
@@ -231,8 +232,35 @@ def check_c5_kernel_constants(tol_override: float | None = None) -> CheckResult:
                        PASS if ok else FAIL, detail)
 
 
+def _displayed_aggregate(remark: TheoremId, f: Surface, rect: Rect, s: float,
+                         q: float | None = None) -> float:
+    """A remark aggregate's right side as the paper displays it.
+
+    Written from the displayed formulas alone, so it is an independent
+    oracle for remark_aggregate and for the summed corner bounds.
+    """
+    dac, dad, dbc, dbd = (abs(f.mixed_partial(p.x, p.y)) for p in rect.corners())
+    area = rect.area
+    s1 = s + 1.0
+    if remark is TheoremId.R_C15:
+        return area ** 2 / s1 ** 2 * (dac + dad + dbc + dbd)
+    if remark is TheoremId.R_METU:
+        hp = make_holder_pair(q)
+        return (4.0 * area ** 2 * holder_kernel_constant(hp.p) / s1 ** (2.0 / q)
+                * sum(val ** q for val in (dac, dad, dbc, dbd)) ** (1.0 / q))
+    inners = (
+        dac ** q + s1 * (dad ** q + dbc ** q) + s1 ** 2 * dbd ** q,
+        dbd ** q + s1 * (dbc ** q + dad ** q) + s1 ** 2 * dac ** q,
+        dad ** q + s1 * (dac ** q + dbd ** q) + s1 ** 2 * dbc ** q,
+        dbc ** q + s1 * (dbd ** q + dac ** q) + s1 ** 2 * dad ** q,
+    )
+    return (4.0 * area ** 2 / (2.0 * s1 * (s + 2.0)) ** (2.0 / q)
+            * sum(val ** (1.0 / q) for val in inners))
+
+
 def check_c6_aggregation(tol_override: float | None = None) -> CheckResult:
-    """Coefficient identity plus remark aggregates = sum of corner bounds."""
+    """Coefficient identity, plus remark aggregates and area-weighted sums
+    of corner bounds against the displayed aggregate formulas."""
     tol = _tol(1e-12, tol_override)
     rng = np.random.default_rng(_BATTERY_SEED)
     worst = 0.0
@@ -241,26 +269,22 @@ def check_c6_aggregation(tol_override: float | None = None) -> CheckResult:
         worst = max(worst, abs((1.0 / s1 ** 2 + 2.0 / s1 + 1.0) / s2 ** 2 - 1.0 / s1 ** 2))
     cfg = QuadConfig()
     surfaces = [catalog_lookup("uv"), catalog_lookup("u2v2.5")]
+    families = ((TheoremId.R_C15, TheoremId.T1, (None,)),
+                (TheoremId.R_METU, TheoremId.T2, (1.5, 2.0, 3.0)),
+                (TheoremId.R_FINAL, TheoremId.T3, (1.0, 2.0, 4.0)))
     for f in surfaces:
         for rect in (Rect(0, 1, 0, 1), Rect(0.5, 2.5, 1, 3)):
-            area = rect.area
             for s in (0.25, 1.0):
-                agg = remark_aggregate(TheoremId.R_C15, f, rect, s, cfg=cfg)
-                csum = sum(corner_report(TheoremId.T1, cn, f, rect, s, cfg=cfg).rhs
-                           for cn in Corner)
-                worst = max(worst, abs(agg.rhs - area * csum))
-                for q in (1.5, 2.0, 3.0):
-                    agg = remark_aggregate(TheoremId.R_METU, f, rect, s, q, cfg=cfg)
-                    csum = sum(corner_report(TheoremId.T2, cn, f, rect, s, q, cfg=cfg).rhs
-                               for cn in Corner)
-                    worst = max(worst, abs(agg.rhs - area * csum))
-                for q in (1.0, 2.0, 4.0):
-                    agg = remark_aggregate(TheoremId.R_FINAL, f, rect, s, q, cfg=cfg)
-                    csum = sum(corner_report(TheoremId.T3, cn, f, rect, s, q, cfg=cfg).rhs
-                               for cn in Corner)
-                    worst = max(worst, abs(agg.rhs - area * csum))
+                for remark, family, qs in families:
+                    for q in qs:
+                        want = _displayed_aggregate(remark, f, rect, s, q)
+                        agg = remark_aggregate(remark, f, rect, s, q, cfg=cfg)
+                        csum = sum(corner_report(family, cn, f, rect, s, q, cfg=cfg).rhs
+                                   for cn in Corner)
+                        worst = max(worst, abs(agg.rhs - want), abs(rect.area * csum - want))
     ok = worst <= tol
-    return CheckResult("c6", "aggregates equal summed corner bounds; coefficient identity",
+    return CheckResult("c6", "aggregates and summed corner bounds match the displayed "
+                       "aggregates; coefficient identity",
                        PASS if ok else FAIL, f"worst error {worst:.3e} (tol {tol:.1e})")
 
 

@@ -237,6 +237,7 @@ class Surface:
         return out
 
     def mixed_partial(self, u, v):
+        """d^2 f / du dv; EvalError names the first point where it is not finite."""
         if self.mixed_fn is not None:
             out = self.mixed_fn(u, v)
         else:
@@ -245,6 +246,11 @@ class Surface:
             out = float(out)
             if not math.isfinite(out):
                 raise EvalError(f"mixed partial of {self.name} is {out} at ({u}, {v})")
+        elif not np.isfinite(out).all():
+            k = int(np.flatnonzero(~np.isfinite(out))[0])
+            uk = np.broadcast_to(u, out.shape).flat[k]
+            vk = np.broadcast_to(v, out.shape).flat[k]
+            raise EvalError(f"mixed partial of {self.name} is {out.flat[k]} at ({uk}, {vk})")
         return out
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,57 @@ WIDE = Rect(0.0, 2.0, 0.0, 1.0)
 MID = EvalPoint(0.5, 0.5)
 UV = catalog_lookup("uv")
 U2V2 = catalog_lookup("u2v2")
+U2V25 = catalog_lookup("u2v2.5")
+
+
+# ---------------------------------------------------------------------------
+# the paper's displayed corner and midpoint formulas, written out on their
+# own: the oracle the specializations are checked against
+# ---------------------------------------------------------------------------
+
+def displayed_corner(theorem, corner, f, rect, s, q=None):
+    """Right side of corner part 1-4 as displayed (verbatim t3 constant)."""
+    D = lambda u, v: abs(f.mixed_partial(u, v))
+    pt, opp = corner.point(rect), corner.opposite(rect)
+    dc, do = D(pt.x, pt.y), D(opp.x, opp.y)
+    dm1, dm2 = D(pt.x, opp.y), D(opp.x, pt.y)
+    area, s1, s2 = rect.area, s + 1.0, s + 2.0
+    if theorem is TheoremId.T1:
+        return area / s2 ** 2 * (dc / s1 ** 2 + (dm1 + dm2) / s1 + do)
+    if theorem is TheoremId.T2:
+        p = q / (q - 1.0)
+        return (area * (p + 1.0) ** (-2.0 / p) / s1 ** (2.0 / q)
+                * (dc ** q + dm1 ** q + dm2 ** q + do ** q) ** (1.0 / q))
+    inner = dc ** q + s1 * (dm1 ** q + dm2 ** q) + s1 ** 2 * do ** q
+    return 2.0 ** (2.0 - 2.0 / q) * area / (s1 * s2) ** (2.0 / q) * inner ** (1.0 / q)
+
+
+def displayed_midpoint(theorem, f, rect, s, q=None):
+    """Right side of the midpoint specialization as displayed."""
+    D = lambda u, v: abs(f.mixed_partial(u, v))
+    a, b, c, d = rect.a, rect.b, rect.c, rect.d
+    mx, my = (a + b) / 2.0, (c + d) / 2.0
+    area, s1, s2 = rect.area, s + 1.0, s + 2.0
+    if theorem is TheoremId.T1:
+        return area / (4.0 * s2 ** 2) * (
+            D(mx, my) / s1 ** 2
+            + (D(a, my) + D(b, my)) / (2.0 * s1)
+            + (D(mx, c) + D(mx, d)) / (2.0 * s1)
+            + (D(a, c) + D(a, d) + D(b, c) + D(b, d)) / 4.0)
+    quads = (((mx, c), (a, my), (a, c)), ((mx, d), (a, my), (a, d)),
+             ((mx, c), (b, my), (b, c)), ((mx, d), (b, my), (b, d)))
+    edge, corner = (1.0, 1.0) if theorem is TheoremId.T2 else (s1, s1 ** 2)
+    total = sum((D(mx, my) ** q + edge * D(*pe) ** q + edge * D(*pv) ** q
+                 + corner * D(*pc) ** q) ** (1.0 / q) for pe, pv, pc in quads)
+    if theorem is TheoremId.T2:
+        p = q / (q - 1.0)
+        return area / 16.0 * (p + 1.0) ** (-2.0 / p) / s1 ** (2.0 / q) * total
+    return 2.0 ** (2.0 - 2.0 / q) * area / 16.0 / (s1 * s2) ** (2.0 / q) * total
+
+
+# (family, q) pairs the oracle tests cover
+DISPLAYED_FAMILIES = ((TheoremId.T1, None), (TheoremId.T2, 1.5), (TheoremId.T2, 3.0),
+                      (TheoremId.T3, 1.0), (TheoremId.T3, 2.0), (TheoremId.T3, 4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +112,22 @@ def test_q_validation():
         t2_rhs(UV, UNIT, MID, 0.5, 1.0)      # Holder needs q > 1
     with pytest.raises(Exception):
         t3_rhs(UV, UNIT, MID, 0.5, 0.5)      # power mean needs q >= 1
+
+
+def test_each_point_bound_makes_one_nine_point_mixed_partial_call():
+    sizes = []
+
+    def counting(u, v):
+        sizes.append(np.broadcast(np.asarray(u), np.asarray(v)).size)
+        return U2V2.mixed_fn(u, v)
+
+    f = dataclasses.replace(U2V2, mixed_fn=counting)
+    pt = EvalPoint(0.75, 0.25)
+    for rhs in (lambda: t1_rhs(f, WIDE, pt, 0.5), lambda: t2_rhs(f, WIDE, pt, 0.5, 2.0),
+                lambda: t3_rhs(f, WIDE, pt, 0.5, 3.0)):
+        sizes.clear()
+        rhs()
+        assert sizes == [9]
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +206,40 @@ def test_corner_reports_hold_everywhere():
             assert rep.holds, (theorem, corner)
 
 
+@pytest.mark.parametrize("rect", [UNIT, WIDE], ids=["unit", "wide"])
+@pytest.mark.parametrize("f", [UV, U2V2, U2V25], ids=["uv", "u2v2", "u2v2.5"])
+def test_corner_reports_match_displayed_formulas(f, rect):
+    for theorem, q in DISPLAYED_FAMILIES:
+        for s in (0.25, 0.75):
+            for corner in Corner:
+                got = corner_report(theorem, corner, f, rect, s, q=q).rhs
+                assert got == pytest.approx(
+                    displayed_corner(theorem, corner, f, rect, s, q), rel=1e-13), \
+                    (theorem, q, s, corner)
+
+
+@pytest.mark.parametrize("rect", [UNIT, WIDE], ids=["unit", "wide"])
+@pytest.mark.parametrize("f", [UV, U2V2, U2V25], ids=["uv", "u2v2", "u2v2.5"])
+def test_midpoint_reports_match_displayed_formulas(f, rect):
+    for theorem, q in DISPLAYED_FAMILIES:
+        for s in (0.25, 0.75):
+            got = midpoint_report(theorem, f, rect, s, q=q).rhs
+            assert got == pytest.approx(
+                displayed_midpoint(theorem, f, rect, s, q), rel=1e-13), (theorem, q, s)
+
+
 def test_midpoint_specialization_equals_general_bound_at_midpoint():
+    # the displayed midpoint forms are the general bounds at the midpoint
     for f in (UV, U2V2):
         for rect in (UNIT, WIDE):
             mid = rect.midpoint()
             s = 0.5
-            assert midpoint_report(TheoremId.T1, f, rect, s).rhs == pytest.approx(
-                t1_rhs(f, rect, mid, s), rel=1e-13)
-            assert midpoint_report(TheoremId.T2, f, rect, s, q=2.0).rhs == pytest.approx(
-                t2_rhs(f, rect, mid, s, 2.0), rel=1e-13)
-            assert midpoint_report(TheoremId.T3, f, rect, s, q=3.0).rhs == pytest.approx(
-                t3_rhs(f, rect, mid, s, 3.0), rel=1e-13)
+            assert t1_rhs(f, rect, mid, s) == pytest.approx(
+                displayed_midpoint(TheoremId.T1, f, rect, s), rel=1e-13)
+            assert t2_rhs(f, rect, mid, s, 2.0) == pytest.approx(
+                displayed_midpoint(TheoremId.T2, f, rect, s, 2.0), rel=1e-13)
+            assert t3_rhs(f, rect, mid, s, 3.0) == pytest.approx(
+                displayed_midpoint(TheoremId.T3, f, rect, s, 3.0), rel=1e-13)
 
 
 def test_midpoint_ids():
@@ -175,13 +267,16 @@ def test_aggregates_equal_area_weighted_corner_sums():
     families = ((TheoremId.R_C15, TheoremId.T1, None),
                 (TheoremId.R_METU, TheoremId.T2, 2.0),
                 (TheoremId.R_FINAL, TheoremId.T3, 2.0))
-    for f in (UV, catalog_lookup("u2v2.5")):
+    for f in (UV, U2V25):
         for remark, family, q in families:
             agg = remark_aggregate(remark, f, WIDE, 0.5, q=q)
             per_corner = [corner_report(family, corner, f, WIDE, 0.5, q=q)
                           for corner in Corner]
-            assert agg.rhs == pytest.approx(
-                WIDE.area * sum(r.rhs for r in per_corner), rel=1e-12)
+            displayed = WIDE.area * sum(displayed_corner(family, corner, f, WIDE, 0.5, q)
+                                        for corner in Corner)
+            assert agg.rhs == pytest.approx(displayed, rel=1e-12)
+            assert WIDE.area * sum(r.rhs for r in per_corner) == pytest.approx(
+                displayed, rel=1e-12)
             assert agg.lhs == pytest.approx(
                 WIDE.area * sum(r.lhs for r in per_corner), rel=1e-12)
             assert agg.holds

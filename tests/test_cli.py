@@ -270,6 +270,19 @@ def test_usage_errors_exit_2(args):
     assert res.returncode == 2, res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("bound", "--fn", "(u+v)^0.5*u", "--rect", "0,1,0,1", "--s", "0.5"),
+    ("lemma", "--fn", "(u+v)^0.5*u", "--rect", "0,1,0,1"),
+])
+def test_non_finite_values_report_one_error_line_without_numpy_warnings(args):
+    # the finite-difference mixed partial of (u+v)^0.5*u is NaN at (0, 0)
+    res = run_cli(*args)
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+    assert "Warning" not in res.stderr
+
+
 def test_no_subcommand_is_usage_error():
     assert run_cli().returncode == 2
     assert run_cli("--help").returncode == 0

@@ -94,6 +94,14 @@ def test_eval_error_outside_power_domain():
             f(-1.0, 1.0)
 
 
+def test_mixed_partial_error_names_first_non_finite_point():
+    # 0.25 u^-0.5 v^-0.5 is infinite on the axes; array input is checked too
+    f = parse_surface("u^0.5*v^0.5")
+    with np.errstate(divide="ignore"):
+        with pytest.raises(EvalError, match=r"is inf at \(0\.0, 0\.5\)"):
+            f.mixed_partial(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.5, 1.0]))
+
+
 def test_surfaces_accept_arrays():
     f = parse_surface("u^2*v+3")
     u = np.linspace(0.0, 2.0, 7)
