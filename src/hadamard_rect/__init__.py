@@ -15,8 +15,8 @@ from .domain import (BadExponent, DegenerateRect, EvalPoint, HolderPair,
                      NormalizationMode, PowerMeanQ, PrefactorMode, Rect,
                      SExponent, make_holder_pair, make_rect)
 from .identity import (ExactLemmaEvaluation, LemmaEvaluation, corner_term_A,
-                       lemma_lhs, lemma_residual, lemma_residual_exact,
-                       lemma_rhs)
+                       lemma_lhs, lemma_lhs_at, lemma_residual,
+                       lemma_residual_exact, lemma_rhs)
 from .quad import (DEEP, IntegralResult, QuadConfig, ToleranceNotMet,
                    gauss_legendre, holder_kernel_constant, integrate_1d,
                    integrate_2d, kernel_moment, poly_integral_exact,
@@ -49,7 +49,7 @@ __all__ = [
     "kernel_moment", "holder_kernel_constant", "power_mean_prefactor",
     # identity
     "LemmaEvaluation", "ExactLemmaEvaluation", "corner_term_A", "lemma_lhs",
-    "lemma_rhs", "lemma_residual", "lemma_residual_exact",
+    "lemma_lhs_at", "lemma_rhs", "lemma_residual", "lemma_residual_exact",
     # bounds
     "TheoremId", "Corner", "BoundReport", "ChainEvaluation", "family_rhs",
     "family_report", "t1_rhs", "t2_rhs", "t3_rhs", "t1_report", "t2_report",

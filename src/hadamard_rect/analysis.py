@@ -3,19 +3,23 @@ comparison, and a small local refinement of the worst lattice cell.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import EvalPoint, NormalizationMode, PrefactorMode, Rect
-from .identity import lemma_lhs
+from .identity import _check_point, lemma_lhs_at
 from .bounds import (BoundReport, TheoremId, family_report, family_rhs,
-                     t1_report, t2_report, t3_report)
+                     family_stencil_rhs)
 from .quad import QuadConfig, ToleranceNotMet
 from .surfaces import EvalError, Surface
 
 __all__ = ["GapSurface", "SweepResult", "RefinedMin", "scan_gap", "sweep_s",
-           "compare_families", "refine_argmin"]
+           "compare_families", "refine_argmin", "MAX_GRID"]
+
+# largest grid_n a scan accepts: (MAX_GRID + 1)^2 cells, about 263k
+MAX_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -23,8 +27,11 @@ class GapSurface:
     """Lattice evaluation of one bound family over a rectangle.
 
     grid rows are (x, y, lhs, rhs, margin) in scan order: y runs in the
-    outer loop, x in the inner one. Cells that failed to evaluate carry
-    NaN and an entry in errors; they do not abort the scan.
+    outer loop, x in the inner one. The lattice's first and last
+    coordinates are the rectangle's edges exactly. Each row equals what
+    lemma_lhs and family_rhs give at that point, bit for bit. Cells that
+    failed to evaluate carry NaN and an entry in errors; they do not abort
+    the scan.
 
     argmin holds the (x, y) coordinates of the smallest margin, first in
     scan order on ties, ready to feed refine_argmin. errors entries are
@@ -53,30 +60,78 @@ class RefinedMin:
     iterations: int
 
 
+def _lattice_rhs(on_stencil: Callable[[list[list[float]], Rect, EvalPoint], float],
+                 rhs_at: Callable[[Surface, Rect, EvalPoint], float],
+                 f: Surface, rect: Rect, xs: list[float], ys: list[float]
+                 ) -> Callable[[int, int, EvalPoint], float]:
+    """A family's right side at lattice cell (ix, iy) and its point, from
+    its stencil form on_stencil, or its point form rhs_at as a fallback.
+
+    The lattice holds a, b, c and d, so each cell's stencil is lattice rows
+    (0, ix, n) by columns (0, iy, n), and one mixed-partial call on the
+    whole lattice serves every cell. Where that call raises EvalError, each
+    cell makes its own stencil call instead and keeps its own message.
+    """
+    try:
+        M = np.abs(f.mixed_partial(*np.meshgrid(xs, ys, indexing="ij"))).tolist()
+    except EvalError:
+        return lambda ix, iy, pt: rhs_at(f, rect, pt)
+    n = len(xs) - 1
+    first, last = M[0], M[n]
+
+    def rhs(ix: int, iy: int, pt: EvalPoint) -> float:
+        row = M[ix]
+        D = [[first[0], first[iy], first[n]], [row[0], row[iy], row[n]],
+             [last[0], last[iy], last[n]]]
+        return on_stencil(D, rect, pt)
+
+    return rhs
+
+
 def scan_gap(theorem: TheoremId, f: Surface, rect: Rect, s: float,
              q: float | None = None, grid_n: int = 8,
              constant_mode: PrefactorMode = PrefactorMode.VERBATIM,
              mode: NormalizationMode = NormalizationMode.CORRECTED,
              cfg: QuadConfig = QuadConfig()) -> GapSurface:
     """Evaluate margin = rhs - lhs on the (grid_n+1)^2 lattice including the
-    boundary. Deterministic: no randomness anywhere in the scan."""
+    boundary. Deterministic: no randomness anywhere in the scan.
+
+    Cost: one left-side evaluator (four edge integrals and one area
+    integral) and one mixed-partial call on the whole lattice, then a few
+    dozen float operations per cell. grid_n is at most MAX_GRID.
+    """
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
-    rhs_at = family_rhs(theorem, s, q, constant_mode)
-    xs = [rect.a + i * (rect.b - rect.a) / grid_n for i in range(grid_n + 1)]
-    ys = [rect.c + j * (rect.d - rect.c) / grid_n for j in range(grid_n + 1)]
+    if grid_n > MAX_GRID:
+        raise ValueError(f"grid_n must be <= {MAX_GRID}, got {grid_n}")
+    rhs_at = family_rhs(theorem, s, q, constant_mode)   # checks s and q first
+    on_stencil = family_stencil_rhs(theorem, s, q, constant_mode)
+    # the last coordinate is b (d) itself: a + n (b - a) / n can miss it
+    xs = [rect.a + i * (rect.b - rect.a) / grid_n for i in range(grid_n)] + [rect.b]
+    ys = [rect.c + j * (rect.d - rect.c) / grid_n for j in range(grid_n)] + [rect.d]
     rows = []
     errors = []
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            pt = EvalPoint(x, y)
-            try:
-                lhs = abs(lemma_lhs(f, rect, pt, mode, cfg))
-                rhs = rhs_at(f, rect, pt)
-                rows.append((x, y, lhs, rhs, rhs - lhs))
-            except (EvalError, ToleranceNotMet) as exc:
+    try:
+        lhs_at = lemma_lhs_at(f, rect, mode, cfg)
+    except (EvalError, ToleranceNotMet) as exc:
+        # the left side's integrals do not depend on the point: every cell fails
+        for iy, y in enumerate(ys):
+            for ix, x in enumerate(xs):
                 errors.append((ix, iy, str(exc)))
                 rows.append((x, y, np.nan, np.nan, np.nan))
+    else:
+        rhs_of = _lattice_rhs(on_stencil, rhs_at, f, rect, xs, ys)
+        for iy, y in enumerate(ys):
+            for ix, x in enumerate(xs):
+                pt = EvalPoint(x, y)
+                try:
+                    rhs = rhs_of(ix, iy, pt)
+                except EvalError as exc:
+                    errors.append((ix, iy, str(exc)))
+                    rows.append((x, y, np.nan, np.nan, np.nan))
+                    continue
+                lhs = abs(lhs_at(pt))
+                rows.append((x, y, lhs, rhs, rhs - lhs))
     grid = np.array(rows, dtype=float)
     margins = grid[:, 4]
     if np.all(np.isnan(margins)):
@@ -107,10 +162,11 @@ def refine_argmin(theorem: TheoremId, f: Surface, rect: Rect, s: float,
     Purely local polish; the scan stays the source of truth for coverage.
     """
     rhs_at = family_rhs(theorem, s, q, constant_mode)
+    lhs_at = lemma_lhs_at(f, rect, mode, cfg)
 
     def margin_at(x, y):
         pt = EvalPoint(min(max(x, rect.a), rect.b), min(max(y, rect.c), rect.d))
-        lhs = abs(lemma_lhs(f, rect, pt, mode, cfg))
+        lhs = abs(lhs_at(pt))
         return rhs_at(f, rect, pt) - lhs
 
     x, y = start
@@ -136,10 +192,17 @@ def sweep_s(theorem: TheoremId, f: Surface, rect: Rect, pt: EvalPoint,
             constant_mode: PrefactorMode = PrefactorMode.VERBATIM,
             mode: NormalizationMode = NormalizationMode.CORRECTED,
             cfg: QuadConfig = QuadConfig()) -> SweepResult:
-    """One report per s. The rhs trend is reported descriptively; nothing
-    about monotonicity in s is asserted."""
-    reports = [family_report(theorem, f, rect, pt, s, q, constant_mode, mode, cfg)
-               for s in s_values]
+    """One report per s, all sharing one left side. The rhs trend is
+    reported descriptively; nothing about monotonicity in s is asserted."""
+    s_values = list(s_values)
+    for s in s_values:           # every s and q is checked before the left side
+        family_rhs(theorem, s, q, constant_mode)
+    reports = []
+    if s_values:
+        _check_point(rect, pt)       # before any integral, as in lemma_lhs
+        lhs_at = lemma_lhs_at(f, rect, mode, cfg)
+        reports = [family_report(theorem, f, rect, pt, s, q, constant_mode, mode, cfg,
+                                 lhs_at=lhs_at) for s in s_values]
     rhs = [r.rhs for r in reports]
     if len(rhs) < 2:
         trend = "n/a"
@@ -157,9 +220,13 @@ def compare_families(f: Surface, rect: Rect, pt: EvalPoint, s: float, q: float,
                      cfg: QuadConfig = QuadConfig()) -> tuple[BoundReport, ...]:
     """All families at one point with a shared left side: t1, t2(q),
     t3(q) in both constant modes. q must exceed 1 so the Holder row exists."""
-    return (
-        t1_report(f, rect, pt, s, mode, cfg),
-        t2_report(f, rect, pt, s, q, mode, cfg),
-        t3_report(f, rect, pt, s, q, PrefactorMode.VERBATIM, mode, cfg),
-        t3_report(f, rect, pt, s, q, PrefactorMode.SHARPENED, mode, cfg),
-    )
+    families = ((TheoremId.T1, None, PrefactorMode.VERBATIM),
+                (TheoremId.T2, q, PrefactorMode.VERBATIM),
+                (TheoremId.T3, q, PrefactorMode.VERBATIM),
+                (TheoremId.T3, q, PrefactorMode.SHARPENED))
+    for theorem, fq, cmode in families:     # checked before the left side
+        family_rhs(theorem, s, fq, cmode)
+    _check_point(rect, pt)           # before any integral, as in lemma_lhs
+    lhs_at = lemma_lhs_at(f, rect, mode, cfg)
+    return tuple(family_report(theorem, f, rect, pt, s, fq, cmode, mode, cfg,
+                               lhs_at=lhs_at) for theorem, fq, cmode in families)

@@ -2,7 +2,8 @@
 of |d^2 f / du dv| (or its q-th power), plus the five-term mean chain.
 
 Three families, each written once as a function of |D| on the nine points
-{a, x, b} x {c, y, d}, which one mixed-partial call per point evaluates:
+{a, x, b} x {c, y, d}, which one mixed-partial call per point evaluates
+(a lattice scan evaluates every cell's nine with one call on the lattice):
 
 - t1 (first power): kernel moments integrate to 1/((s+1)(s+2)) and the
   bound groups by evaluation point.
@@ -31,7 +32,7 @@ import numpy as np
 
 from .domain import (EvalPoint, NormalizationMode, PowerMeanQ,
                      PrefactorMode, Rect, SExponent, make_holder_pair)
-from .identity import lemma_lhs
+from .identity import lemma_lhs, lemma_lhs_at
 from .quad import (DEEP, QuadConfig, integrate_1d, integrate_2d,
                    holder_kernel_constant, poly1d_integral_exact,
                    poly_integral_exact, power_mean_prefactor)
@@ -39,9 +40,10 @@ from .surfaces import (SamplerConfig, Surface, Verdict, certify_coordinated)
 
 __all__ = [
     "TheoremId", "Corner", "BoundReport", "ChainEvaluation", "family_rhs",
-    "family_report", "t1_rhs", "t2_rhs", "t3_rhs", "t1_report", "t2_report",
-    "t3_report", "corner_report", "midpoint_report", "remark_aggregate",
-    "chain_evaluate", "BOUND_ABS_TOL", "BOUND_REL_TOL", "CHAIN_TOL",
+    "family_stencil_rhs", "family_report", "t1_rhs", "t2_rhs", "t3_rhs",
+    "t1_report", "t2_report", "t3_report", "corner_report", "midpoint_report",
+    "remark_aggregate", "chain_evaluate", "BOUND_ABS_TOL", "BOUND_REL_TOL",
+    "CHAIN_TOL",
 ]
 
 BOUND_ABS_TOL = 1e-10
@@ -204,31 +206,43 @@ def _quadrant_sum(D: list[list[float]], rect: Rect, pt: EvalPoint, q: float,
     return acc
 
 
-def family_rhs(theorem: TheoremId, s: float, q: float | None = None,
-               constant_mode: PrefactorMode = PrefactorMode.VERBATIM
-               ) -> Callable[[Surface, Rect, EvalPoint], float]:
-    """The right side of family t1, t2 or t3 as a function of (f, rect, pt).
+def family_stencil_rhs(theorem: TheoremId, s: float, q: float | None = None,
+                       constant_mode: PrefactorMode = PrefactorMode.VERBATIM
+                       ) -> Callable[[list[list[float]], Rect, EvalPoint], float]:
+    """The right side of family t1, t2 or t3 as a function of (D, rect, pt),
+    where D[i][j] is |D| at the i-th of (a, x, b) and the j-th of (c, y, d).
 
     s and q are checked here, once, so a caller can check them before it
-    computes any left side. Each evaluation makes one mixed-partial call.
+    computes any left side. A lattice scan takes every cell's D from one
+    mixed-partial call on the whole lattice.
     """
     if theorem not in _FAMILY_NAMES:
         raise ValueError(f"{theorem} is not a bound family (t1, t2, t3)")
     SExponent(s)
     s1 = s + 1.0
     if theorem is TheoremId.T1:
-        return lambda f, rect, pt: _t1(_stencil(f, rect, pt), rect, pt, s)
+        return lambda D, rect, pt: _t1(D, rect, pt, s)
     if q is None:
         raise ValueError(f"the {_FAMILY_NAMES[theorem]} family needs q")
     if theorem is TheoremId.T2:
         kernel = holder_kernel_constant(make_holder_pair(q).p)
-        return lambda f, rect, pt: (
-            _quadrant_sum(_stencil(f, rect, pt), rect, pt, q, 1.0, 1.0)
-            * kernel / s1 ** (2.0 / q))
+        return lambda D, rect, pt: (
+            _quadrant_sum(D, rect, pt, q, 1.0, 1.0) * kernel / s1 ** (2.0 / q))
     PowerMeanQ(q)
     scale = power_mean_prefactor(q, constant_mode) / (s1 * (s + 2.0)) ** (2.0 / q)
-    return lambda f, rect, pt: scale * _quadrant_sum(
-        _stencil(f, rect, pt), rect, pt, q, s1, s1 ** 2)
+    return lambda D, rect, pt: scale * _quadrant_sum(D, rect, pt, q, s1, s1 ** 2)
+
+
+def family_rhs(theorem: TheoremId, s: float, q: float | None = None,
+               constant_mode: PrefactorMode = PrefactorMode.VERBATIM
+               ) -> Callable[[Surface, Rect, EvalPoint], float]:
+    """The right side of family t1, t2 or t3 as a function of (f, rect, pt).
+
+    s and q are checked here, once. Each evaluation makes one
+    mixed-partial call, on the point's nine-point stencil.
+    """
+    on_stencil = family_stencil_rhs(theorem, s, q, constant_mode)
+    return lambda f, rect, pt: on_stencil(_stencil(f, rect, pt), rect, pt)
 
 
 def t1_rhs(f: Surface, rect: Rect, pt: EvalPoint, s: float) -> float:
@@ -264,12 +278,13 @@ def _certify_abs_mixed(f: Surface, rect: Rect, s: float, power: float,
 def _report(tid: TheoremId, family: TheoremId, f: Surface, rect: Rect,
             pt: EvalPoint, s: float, q: float | None, constant_mode: PrefactorMode,
             mode: NormalizationMode, cfg: QuadConfig, certify: bool = False,
-            sampler: SamplerConfig = SamplerConfig(), **extra) -> BoundReport:
+            sampler: SamplerConfig = SamplerConfig(),
+            lhs_at: Callable[[EvalPoint], float] | None = None, **extra) -> BoundReport:
     """The family bound at pt against the left side there, reported as tid."""
     rhs_at = family_rhs(family, s, q, constant_mode)
     power = 1.0 if family is TheoremId.T1 else q
     certified = _certify_abs_mixed(f, rect, s, power, sampler) if certify else None
-    lhs = abs(lemma_lhs(f, rect, pt, mode, cfg))
+    lhs = abs(lemma_lhs(f, rect, pt, mode, cfg) if lhs_at is None else lhs_at(pt))
     if family is not TheoremId.T1:
         extra["q"] = q
     if family is TheoremId.T3:
@@ -283,10 +298,15 @@ def family_report(theorem: TheoremId, f: Surface, rect: Rect, pt: EvalPoint,
                   constant_mode: PrefactorMode = PrefactorMode.VERBATIM,
                   mode: NormalizationMode = NormalizationMode.CORRECTED,
                   cfg: QuadConfig = QuadConfig(), certify: bool = False,
-                  sampler: SamplerConfig = SamplerConfig()) -> BoundReport:
-    """Report of family t1, t2 or t3 at pt."""
+                  sampler: SamplerConfig = SamplerConfig(), *,
+                  lhs_at: Callable[[EvalPoint], float] | None = None) -> BoundReport:
+    """Report of family t1, t2 or t3 at pt.
+
+    Reports on one (f, rect, mode, cfg) can share their left side: pass
+    lhs_at = lemma_lhs_at(f, rect, mode, cfg), built for those same four.
+    """
     return _report(theorem, theorem, f, rect, pt, s, q, constant_mode, mode, cfg,
-                   certify, sampler)
+                   certify, sampler, lhs_at)
 
 
 def t1_report(f: Surface, rect: Rect, pt: EvalPoint, s: float,
@@ -354,8 +374,8 @@ def remark_aggregate(remark: TheoremId, f: Surface, rect: Rect, s: float,
         raise ValueError(f"not an aggregate id: {remark}")
     rhs_at = family_rhs(family, s, q)
     area = rect.area
-    lhs = sum(area * abs(lemma_lhs(f, rect, p, NormalizationMode.CORRECTED, cfg))
-              for p in rect.corners())
+    lhs_at = lemma_lhs_at(f, rect, NormalizationMode.CORRECTED, cfg)
+    lhs = sum(area * abs(lhs_at(p)) for p in rect.corners())
     rhs = area * sum(rhs_at(f, rect, p) for p in rect.corners())
     extra = {} if family is TheoremId.T1 else {"q": q}
     return _finish(remark, lhs, rhs, _params(rect, None, s, NormalizationMode.CORRECTED, **extra))

@@ -21,11 +21,18 @@ corrected one on unit-area rectangles; for constant surfaces its residual
 is exactly |k (1 - area) / area|, which is the regression this package
 exists to pin down.
 
+Once its four corner values, four edge integrals and area integral are
+known, the left side is bilinear in (x, y), and those nine numbers depend
+only on (f, rect). lemma_lhs_at computes them once and returns the left
+side as a function of the point; lemma_lhs is one call of it. Lattices,
+sweeps and refinements share one evaluator per (f, rect).
+
 Polynomial surfaces get a fully rational path: every term above is a
 polynomial integral, so the residual can be shown to vanish exactly.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +42,8 @@ from .surfaces import Poly2, Surface
 
 __all__ = [
     "LemmaEvaluation", "ExactLemmaEvaluation", "corner_term_A", "lemma_lhs",
-    "lemma_rhs", "lemma_residual", "lemma_residual_exact", "QUADRANTS",
+    "lemma_lhs_at", "lemma_rhs", "lemma_residual", "lemma_residual_exact",
+    "QUADRANTS",
 ]
 
 _UNIT = Rect(0.0, 1.0, 0.0, 1.0)
@@ -97,17 +105,75 @@ def _quadrant_geometry(rect: Rect, pt: EvalPoint):
     )
 
 
+def _corner_sum(r, x, y, fc, mode: NormalizationMode):
+    """A at (x, y) from the corner values fc in canonical order, normalized
+    per mode; r = (a, b, c, d). Floats or rationals throughout."""
+    a, b, c, d = r
+    total = ((x - a) * (y - c) * fc[0] + (x - a) * (d - y) * fc[1]
+             + (b - x) * (y - c) * fc[2] + (b - x) * (d - y) * fc[3])
+    if mode is NormalizationMode.VERBATIM:
+        total /= (b - a) * (d - c)
+    return total
+
+
+def _lhs_combination(r, x, y, fc, edges, whole, mode: NormalizationMode):
+    """The left side at (x, y) from its nine (f, rect) numbers: the corner
+    values fc, the edge integrals of f(a,.), f(b,.), f(.,d), f(.,c) and the
+    area integral. The one left-side formula, for floats and rationals."""
+    a, b, c, d = r
+    acc = _corner_sum(r, x, y, fc, mode)
+    acc -= (x - a) * edges[0]
+    acc -= (b - x) * edges[1]
+    acc -= (d - y) * edges[2]
+    acc -= (y - c) * edges[3]
+    acc += whole
+    return acc / ((b - a) * (d - c))
+
+
 def corner_term_A(f: Surface, rect: Rect, pt: EvalPoint,
                   mode: NormalizationMode = NormalizationMode.CORRECTED) -> float:
     """The bilinear corner combination, normalized per mode."""
     _check_point(rect, pt)
-    a, b, c, d = rect.a, rect.b, rect.c, rect.d
-    x, y = pt.x, pt.y
-    total = ((x - a) * (y - c) * f(a, c) + (x - a) * (d - y) * f(a, d)
-             + (b - x) * (y - c) * f(b, c) + (b - x) * (d - y) * f(b, d))
-    if mode is NormalizationMode.VERBATIM:
-        total /= rect.area
-    return total
+    fc = tuple(f(p.x, p.y) for p in rect.corners())
+    return _corner_sum((rect.a, rect.b, rect.c, rect.d), pt.x, pt.y, fc, mode)
+
+
+def lemma_lhs_at(f: Surface, rect: Rect,
+                 mode: NormalizationMode = NormalizationMode.CORRECTED,
+                 cfg: QuadConfig = QuadConfig(), use_exact: bool = True
+                 ) -> Callable[[EvalPoint], float]:
+    """The signed left-hand side as a function of the point.
+
+    The four corner values, the four edge integrals and the area integral
+    depend only on (f, rect), so they are computed here, once: rationally
+    on polynomial surfaces unless use_exact is off, by Gauss-Legendre
+    otherwise. EvalError and ToleranceNotMet surface here, not per point.
+    Each call then costs a few arithmetic operations and gives the value
+    lemma_lhs gives, bit for bit; a point outside rect raises ValueError.
+    """
+    if use_exact and f.poly is not None:
+        r = rect.exact()
+        parts = _exact_parts(f.poly, rect)
+
+        def exact_at(pt: EvalPoint) -> float:
+            _check_point(rect, pt)
+            return float(_lhs_combination(r, *pt.exact(), *parts, mode))
+
+        return exact_at
+    r = (rect.a, rect.b, rect.c, rect.d)
+    a, b, c, d = r
+    fc = tuple(f(p.x, p.y) for p in rect.corners())
+    edges = (integrate_1d(lambda v: f.fn(a, v), c, d, cfg).value,
+             integrate_1d(lambda v: f.fn(b, v), c, d, cfg).value,
+             integrate_1d(lambda u: f.fn(u, d), a, b, cfg).value,
+             integrate_1d(lambda u: f.fn(u, c), a, b, cfg).value)
+    whole = integrate_2d(f.fn, rect, cfg).value
+
+    def at(pt: EvalPoint) -> float:
+        _check_point(rect, pt)
+        return _lhs_combination(r, pt.x, pt.y, fc, edges, whole, mode)
+
+    return at
 
 
 def lemma_lhs(f: Surface, rect: Rect, pt: EvalPoint,
@@ -117,20 +183,11 @@ def lemma_lhs(f: Surface, rect: Rect, pt: EvalPoint,
 
     Polynomial surfaces go through the rational oracle unless use_exact is
     switched off (the boundary integrals and the area integral are then
-    Gauss-Legendre like everything else).
+    Gauss-Legendre like everything else). Several points on one (f, rect)
+    should share one lemma_lhs_at instead.
     """
     _check_point(rect, pt)
-    if use_exact and f.poly is not None:
-        return float(_exact_lhs(f.poly, rect, pt, mode))
-    a, b, c, d = rect.a, rect.b, rect.c, rect.d
-    x, y = pt.x, pt.y
-    bracket = corner_term_A(f, rect, pt, mode)
-    bracket -= (x - a) * integrate_1d(lambda v: f.fn(a, v), c, d, cfg).value
-    bracket -= (b - x) * integrate_1d(lambda v: f.fn(b, v), c, d, cfg).value
-    bracket -= (d - y) * integrate_1d(lambda u: f.fn(u, d), a, b, cfg).value
-    bracket -= (y - c) * integrate_1d(lambda u: f.fn(u, c), a, b, cfg).value
-    bracket += integrate_2d(f.fn, rect, cfg).value
-    return bracket / rect.area
+    return lemma_lhs_at(f, rect, mode, cfg, use_exact)(pt)
 
 
 def _rhs_terms(f: Surface, rect: Rect, pt: EvalPoint, cfg: QuadConfig,
@@ -196,26 +253,16 @@ def _exact_geometry(rect: Rect, pt: EvalPoint):
     return a, b, c, d, x, y
 
 
-def _exact_corner_sum(p: Poly2, rect: Rect, pt: EvalPoint) -> Fraction:
-    a, b, c, d, x, y = _exact_geometry(rect, pt)
-    return ((x - a) * (y - c) * p.eval_exact(a, c)
-            + (x - a) * (d - y) * p.eval_exact(a, d)
-            + (b - x) * (y - c) * p.eval_exact(b, c)
-            + (b - x) * (d - y) * p.eval_exact(b, d))
-
-
-def _exact_lhs(p: Poly2, rect: Rect, pt: EvalPoint, mode: NormalizationMode) -> Fraction:
-    a, b, c, d, x, y = _exact_geometry(rect, pt)
-    area = (b - a) * (d - c)
-    acc = _exact_corner_sum(p, rect, pt)
-    if mode is NormalizationMode.VERBATIM:
-        acc /= area
-    acc -= (x - a) * poly1d_integral_exact(p.restrict_u(a), c, d)
-    acc -= (b - x) * poly1d_integral_exact(p.restrict_u(b), c, d)
-    acc -= (d - y) * poly1d_integral_exact(p.restrict_v(d), a, b)
-    acc -= (y - c) * poly1d_integral_exact(p.restrict_v(c), a, b)
-    acc += poly_integral_exact(p, rect)
-    return acc / area
+def _exact_parts(p: Poly2, rect: Rect):
+    """Corner values, edge integrals and area integral of p over rect, in
+    rational arithmetic, ordered as _lhs_combination takes them."""
+    a, b, c, d = rect.exact()
+    fc = (p.eval_exact(a, c), p.eval_exact(a, d), p.eval_exact(b, c), p.eval_exact(b, d))
+    edges = (poly1d_integral_exact(p.restrict_u(a), c, d),
+             poly1d_integral_exact(p.restrict_u(b), c, d),
+             poly1d_integral_exact(p.restrict_v(d), a, b),
+             poly1d_integral_exact(p.restrict_v(c), a, b))
+    return fc, edges, poly_integral_exact(p, rect)
 
 
 def _exact_rhs_terms(p: Poly2, rect: Rect, pt: EvalPoint) -> tuple[Fraction, ...]:
@@ -245,11 +292,11 @@ def lemma_residual_exact(f: Surface, rect: Rect, pt: EvalPoint,
     if f.poly is None:
         raise ValueError(f"{f.name} has no exact polynomial form")
     _check_point(rect, pt)
-    a_num = _exact_corner_sum(f.poly, rect, pt)
-    a, b, c, d = rect.exact()
-    if mode is NormalizationMode.VERBATIM:
-        a_num /= (b - a) * (d - c)
-    lhs = _exact_lhs(f.poly, rect, pt, mode)
+    r = rect.exact()
+    x, y = pt.exact()
+    parts = _exact_parts(f.poly, rect)
+    a_num = _corner_sum(r, x, y, parts[0], mode)
+    lhs = _lhs_combination(r, x, y, *parts, mode)
     terms = _exact_rhs_terms(f.poly, rect, pt)
     rhs = sum(terms, Fraction(0))
     return ExactLemmaEvaluation(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),

@@ -149,23 +149,37 @@ def integrate_1d(g, lo: float, hi: float, cfg: QuadConfig = QuadConfig()) -> Int
     return IntegralResult(value, err, deepest)
 
 
-def _cell_2d(f, a: float, b: float, c: float, d: float, nu: int, nv: int) -> tuple[float, float]:
+@lru_cache(maxsize=None)
+def _tensor_rule(nu: int, nv: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u nodes, v nodes and the (nu, nv) weight products, cached per order pair."""
     xu, wu = gauss_legendre(nu)
     xv, wv = gauss_legendre(nv)
+    w = wu[:, None] * wv[None, :]
+    w.setflags(write=False)
+    return xu, xv, w
+
+
+def _cell_2d(f, a: float, b: float, c: float, d: float, nu: int, nv: int
+             ) -> tuple[float, float, np.ndarray]:
+    """Cell value, its scale hu * hv and the weighted values w * F, from
+    which the caller forms the absolute mass where it needs one."""
+    xu, xv, w = _tensor_rule(nu, nv)
     hu = 0.5 * (b - a)
     hv = 0.5 * (d - c)
-    um = hu * xu + 0.5 * (a + b)
-    vm = hv * xv + 0.5 * (c + d)
-    U, V = np.meshgrid(um, vm, indexing="ij")
+    # the node grids, filled in place: np.meshgrid costs more than the
+    # integrand on the small cells adaptive subdivision makes
+    U = np.empty(w.shape)
+    U[...] = (hu * xu + 0.5 * (a + b))[:, None]
+    V = np.empty(w.shape)
+    V[...] = hv * xv + 0.5 * (c + d)
     F = np.asarray(f(U, V), dtype=float)
     if F.shape != U.shape:
         F = np.broadcast_to(F, U.shape)
     if not np.all(np.isfinite(F)):
         raise EvalError(f"integrand not finite on [{a},{b}]x[{c},{d}]")
-    prod = (wu[:, None] * wv[None, :]) * F
-    value = hu * hv * float(prod.sum(dtype=np.longdouble))
-    mass = abs(hu * hv) * float(np.abs(prod).sum(dtype=np.longdouble))
-    return value, mass
+    prod = w * F
+    scale = hu * hv
+    return scale * float(prod.sum(dtype=np.longdouble)), scale, prod
 
 
 def integrate_2d(f, rect: Rect, cfg: QuadConfig = QuadConfig()) -> IntegralResult:
@@ -181,7 +195,8 @@ def integrate_2d(f, rect: Rect, cfg: QuadConfig = QuadConfig()) -> IntegralResul
     deepest = 0
     while stack:
         a, b, c, d, depth = stack.pop()
-        full, mass = _cell_2d(f, a, b, c, d, cfg.gl_order, cfg.gl_order)
+        full, scale, prod = _cell_2d(f, a, b, c, d, cfg.gl_order, cfg.gl_order)
+        mass = abs(scale) * float(np.abs(prod).sum(dtype=np.longdouble))
         est_u = abs(full - _cell_2d(f, a, b, c, d, half_order, cfg.gl_order)[0])
         est_v = abs(full - _cell_2d(f, a, b, c, d, cfg.gl_order, half_order)[0])
         est = est_u + est_v

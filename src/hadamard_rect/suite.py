@@ -18,7 +18,7 @@ from .bounds import (CHAIN_TOL, Corner, TheoremId, chain_evaluate, corner_report
                      midpoint_report, remark_aggregate, t1_rhs, t2_rhs, t3_rhs)
 from .domain import (EvalPoint, NormalizationMode, PrefactorMode, Rect,
                      make_holder_pair)
-from .identity import lemma_lhs, lemma_residual, lemma_residual_exact
+from .identity import lemma_lhs_at, lemma_residual, lemma_residual_exact
 from .quad import (DEEP, QuadConfig, holder_kernel_constant, integrate_1d,
                    integrate_2d, kernel_moment)
 from .serialize import rows_to_csv
@@ -148,9 +148,9 @@ def _battery_lhs_cache(surfaces, rects, cfg) -> dict:
     cache = {}
     for fi, f in enumerate(surfaces):
         for ri, rect in enumerate(rects):
+            lhs_at = lemma_lhs_at(f, rect, NormalizationMode.CORRECTED, cfg)
             for pi, pt in enumerate(theorem_battery_points(rect)):
-                cache[(fi, ri, pi)] = abs(lemma_lhs(f, rect, pt,
-                                                    NormalizationMode.CORRECTED, cfg))
+                cache[(fi, ri, pi)] = abs(lhs_at(pt))
     return cache
 
 

@@ -1,16 +1,24 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hadamard_rect.analysis import (GapSurface, RefinedMin, compare_families,
-                                    refine_argmin, scan_gap, sweep_s)
-from hadamard_rect.bounds import TheoremId
-from hadamard_rect.domain import EvalPoint, PrefactorMode, Rect
-from hadamard_rect.surfaces import catalog_lookup, parse_surface
+from hadamard_rect import identity
+from hadamard_rect.analysis import (MAX_GRID, GapSurface, RefinedMin,
+                                    compare_families, refine_argmin, scan_gap,
+                                    sweep_s)
+from hadamard_rect.bounds import TheoremId, family_rhs, remark_aggregate
+from hadamard_rect.domain import EvalPoint, NormalizationMode, PrefactorMode, Rect
+from hadamard_rect.identity import lemma_lhs
+from hadamard_rect.quad import ToleranceNotMet
+from hadamard_rect.surfaces import EvalError, catalog_lookup, parse_surface
 
 WIDE = Rect(0.0, 2.0, 0.0, 1.0)
+OFF = Rect(0.5, 2.5, 1.0, 3.0)
+UNIT = Rect(0.0, 1.0, 0.0, 1.0)
 UV = catalog_lookup("uv")
+POWER = parse_surface("u^2.5*v^2")
 
 
 def test_scan_grid_shape_and_order():
@@ -107,3 +115,108 @@ def test_compare_families_shares_lhs():
     assert all(r.holds for r in reps)
     t3s = [r for r in reps if r.theorem_id is TheoremId.T3]
     assert {r.params["constant"] for r in t3s} == {"verbatim", "sharpened"}
+
+
+# ---------------------------------------------------------------------------
+# scans against the point path: one left side and one right side per point
+# ---------------------------------------------------------------------------
+
+def point_loop(theorem, f, rect, s, q, grid_n, mode):
+    """The reference scan: lemma_lhs and the point family_rhs at each cell."""
+    rhs_at = family_rhs(theorem, s, q)
+    xs = [rect.a + i * (rect.b - rect.a) / grid_n for i in range(grid_n)] + [rect.b]
+    ys = [rect.c + j * (rect.d - rect.c) / grid_n for j in range(grid_n)] + [rect.d]
+    rows, errors = [], []
+    for iy, y in enumerate(ys):
+        for ix, x in enumerate(xs):
+            pt = EvalPoint(x, y)
+            try:
+                lhs = abs(lemma_lhs(f, rect, pt, mode))
+                rhs = rhs_at(f, rect, pt)
+                rows.append((x, y, lhs, rhs, rhs - lhs))
+            except (EvalError, ToleranceNotMet) as exc:
+                errors.append((ix, iy, str(exc)))
+                rows.append((x, y, np.nan, np.nan, np.nan))
+    return np.array(rows, dtype=float), tuple(errors)
+
+
+@pytest.mark.parametrize("mode", list(NormalizationMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("theorem,q", [(TheoremId.T1, None), (TheoremId.T2, 2.0),
+                                       (TheoremId.T3, 2.0)], ids=["t1", "t2", "t3"])
+@pytest.mark.parametrize("expr", ["u^2*v^2", "u^2.5*v^2", "(u+v)^0.5*u"])
+def test_scan_rows_equal_the_point_path(expr, theorem, q, mode):
+    f = parse_surface(expr)
+    gap = scan_gap(theorem, f, OFF, 0.5, q, grid_n=4, mode=mode)
+    grid, errors = point_loop(theorem, f, OFF, 0.5, q, 4, mode)
+    assert not gap.errors and not errors
+    assert gap.grid.shape == grid.shape
+    for row, ref in zip(gap.grid, grid):
+        assert tuple(row) == tuple(ref)
+
+
+@pytest.mark.parametrize("expr", ["(u+v)^0.5*u", "u^0.5*v^0.5"])
+def test_scan_errors_equal_the_point_path(expr):
+    # (u+v)^0.5*u: the left side holds but |D| is NaN at (0, 0), which every
+    # cell's stencil contains; u^0.5*v^0.5: the left side's integrals fail
+    f = parse_surface(expr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = scan_gap(TheoremId.T1, f, UNIT, 0.5, grid_n=3)
+        grid, errors = point_loop(TheoremId.T1, f, UNIT, 0.5, None, 3,
+                                  NormalizationMode.CORRECTED)
+    assert len(gap.errors) == 16
+    assert gap.errors == errors
+    assert np.array_equal(gap.grid, grid, equal_nan=True)
+
+
+def counting_integrate_2d(monkeypatch):
+    calls = []
+    original = identity.integrate_2d
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(identity, "integrate_2d", counted)
+    return calls
+
+
+def test_scan_makes_one_mixed_partial_call_and_one_area_integral(monkeypatch):
+    sizes = []
+
+    def counting(u, v):
+        sizes.append(np.broadcast(np.asarray(u), np.asarray(v)).size)
+        return POWER.mixed_fn(u, v)
+
+    f = dataclasses.replace(POWER, mixed_fn=counting)
+    calls = counting_integrate_2d(monkeypatch)
+    gap = scan_gap(TheoremId.T3, f, OFF, 0.5, 2.0, grid_n=6)
+    assert not gap.errors
+    assert sizes == [49]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("run", [
+    lambda: sweep_s(TheoremId.T1, POWER, OFF, EvalPoint(1.0, 2.0), [0.25, 0.5, 0.75, 1.0]),
+    lambda: compare_families(POWER, OFF, EvalPoint(1.0, 2.0), 0.5, 2.0),
+    lambda: refine_argmin(TheoremId.T1, POWER, OFF, 0.5, (1.0, 2.0)),
+    lambda: remark_aggregate(TheoremId.R_METU, POWER, OFF, 0.5, 2.0),
+], ids=["sweep", "compare", "refine", "aggregate"])
+def test_one_area_integral_per_call_on_one_rect(monkeypatch, run):
+    calls = counting_integrate_2d(monkeypatch)
+    run()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("rect,grid_n", [(Rect(0.53, 3.39, 1.0, 2.0), 12),
+                                         (Rect(-0.4, 0.58, 0.0, 1.0), 10)])
+def test_scan_lattice_ends_exactly_at_b_and_d(rect, grid_n):
+    # a + n (b - a) / n lands one ulp past b on these rects
+    gap = scan_gap(TheoremId.T1, UV, rect, 1.0, grid_n=grid_n)
+    assert not gap.errors
+    assert gap.grid[-1, 0] == rect.b and gap.grid[-1, 1] == rect.d
+    assert max(gap.grid[:, 0]) == rect.b and max(gap.grid[:, 1]) == rect.d
+
+
+def test_scan_rejects_grid_above_the_limit():
+    with pytest.raises(ValueError, match=str(MAX_GRID)):
+        scan_gap(TheoremId.T1, UV, WIDE, 1.0, grid_n=MAX_GRID + 1)

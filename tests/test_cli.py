@@ -189,6 +189,25 @@ def test_scan_gap_json_summary_consistent_with_rows():
     assert min(margins) == pytest.approx(body["summary"]["min_margin"])
 
 
+@pytest.mark.parametrize("rect,grid", [("0.53,3.39,1,2", "12"), ("-0.4,0.58,0,1", "10")])
+def test_scan_gap_lattice_ends_on_the_rectangle(rect, grid):
+    # a + n (b - a) / n is one ulp past b here; the last row must be (b, d)
+    res = run_cli("scan", "--catalog", "uv", f"--rect={rect}", "--grid", grid,
+                  "--format", "json")
+    assert res.returncode == 0, res.stderr
+    _, b, _, d = map(float, rect.split(","))
+    last = json.loads(res.stdout)["results"][-1]
+    assert (last["x"], last["y"]) == (b, d)
+
+
+def test_scan_grid_above_the_limit_is_one_error_line():
+    res = run_cli("scan", "--catalog", "uv", "--grid", "513")
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+    assert "512" in lines[0]
+
+
 def test_scan_sweep_trend():
     res = run_cli("scan", "--scan-kind", "sweep", "--theorem", "t1",
                   "--catalog", "uv", "--rect", "0,2,0,1",
@@ -264,6 +283,7 @@ def test_config_unknown_key_rejected(tmp_path):
     ("bound", "--catalog", "uv", "--s", "2"),
     ("scan", "--catalog", "uv", "--grid", "0"),
     ("chain", "--catalog", "uv", "--s", "0.5,1"),             # one s only
+    ("scan", "--catalog", "uv", "--grid", "513"),             # above MAX_GRID
 ])
 def test_usage_errors_exit_2(args):
     res = run_cli(*args)

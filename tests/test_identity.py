@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from hadamard_rect.domain import EvalPoint, NormalizationMode, Rect
-from hadamard_rect.identity import (corner_term_A, lemma_lhs, lemma_residual,
-                                    lemma_residual_exact, lemma_rhs)
+from hadamard_rect.identity import (corner_term_A, lemma_lhs, lemma_lhs_at,
+                                    lemma_residual, lemma_residual_exact,
+                                    lemma_rhs)
 from hadamard_rect.quad import DEEP
 from hadamard_rect.surfaces import catalog_lookup, const_surface, parse_surface
 
@@ -142,3 +143,6 @@ def test_point_outside_rect_rejected():
         lemma_residual(f, WIDE, bad)
     with pytest.raises(ValueError, match="outside"):
         corner_term_A(f, WIDE, bad)
+    for use_exact in (True, False):
+        with pytest.raises(ValueError, match="outside"):
+            lemma_lhs_at(f, WIDE, use_exact=use_exact)(bad)
