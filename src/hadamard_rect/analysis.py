@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import EvalPoint, NormalizationMode, PrefactorMode, Rect
-from .identity import _check_point, lemma_lhs_at
-from .bounds import (BoundReport, TheoremId, family_report, family_rhs,
+from .identity import lemma_lhs_at
+from .bounds import (BoundReport, Stencil, TheoremId, family_report, family_rhs,
                      family_stencil_rhs)
 from .quad import QuadConfig, ToleranceNotMet
 from .surfaces import EvalError, Surface
@@ -60,7 +60,7 @@ class RefinedMin:
     iterations: int
 
 
-def _lattice_rhs(on_stencil: Callable[[list[list[float]], Rect, EvalPoint], float],
+def _lattice_rhs(on_stencil: Callable[[Stencil, Rect, EvalPoint], float],
                  rhs_at: Callable[[Surface, Rect, EvalPoint], float],
                  f: Surface, rect: Rect, xs: list[float], ys: list[float]
                  ) -> Callable[[int, int, EvalPoint], float]:
@@ -197,12 +197,8 @@ def sweep_s(theorem: TheoremId, f: Surface, rect: Rect, pt: EvalPoint,
     s_values = list(s_values)
     for s in s_values:           # every s and q is checked before the left side
         family_rhs(theorem, s, q, constant_mode)
-    reports = []
-    if s_values:
-        _check_point(rect, pt)       # before any integral, as in lemma_lhs
-        lhs_at = lemma_lhs_at(f, rect, mode, cfg)
-        reports = [family_report(theorem, f, rect, pt, s, q, constant_mode, mode, cfg,
-                                 lhs_at=lhs_at) for s in s_values]
+    reports = [family_report(theorem, f, rect, pt, s, q, constant_mode, mode, cfg)
+               for s in s_values]
     rhs = [r.rhs for r in reports]
     if len(rhs) < 2:
         trend = "n/a"
@@ -226,7 +222,5 @@ def compare_families(f: Surface, rect: Rect, pt: EvalPoint, s: float, q: float,
                 (TheoremId.T3, q, PrefactorMode.SHARPENED))
     for theorem, fq, cmode in families:     # checked before the left side
         family_rhs(theorem, s, fq, cmode)
-    _check_point(rect, pt)           # before any integral, as in lemma_lhs
-    lhs_at = lemma_lhs_at(f, rect, mode, cfg)
-    return tuple(family_report(theorem, f, rect, pt, s, fq, cmode, mode, cfg,
-                               lhs_at=lhs_at) for theorem, fq, cmode in families)
+    return tuple(family_report(theorem, f, rect, pt, s, fq, cmode, mode, cfg)
+                 for theorem, fq, cmode in families)

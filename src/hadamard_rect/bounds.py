@@ -3,7 +3,8 @@ of |d^2 f / du dv| (or its q-th power), plus the five-term mean chain.
 
 Three families, each written once as a function of |D| on the nine points
 {a, x, b} x {c, y, d}, which one mixed-partial call per point evaluates
-(a lattice scan evaluates every cell's nine with one call on the lattice):
+(consecutive bound calls at one point share it; a lattice scan evaluates
+every cell's nine with one call on the lattice):
 
 - t1 (first power): kernel moments integrate to 1/((s+1)(s+2)) and the
   bound groups by evaluation point.
@@ -24,7 +25,7 @@ otherwise.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,6 +46,8 @@ __all__ = [
     "remark_aggregate", "chain_evaluate", "BOUND_ABS_TOL", "BOUND_REL_TOL",
     "CHAIN_TOL",
 ]
+
+Stencil = Sequence[Sequence[float]]
 
 BOUND_ABS_TOL = 1e-10
 BOUND_REL_TOL = 1e-12
@@ -161,16 +164,29 @@ def _params(rect: Rect, pt: EvalPoint | None, s: float, mode: NormalizationMode,
 # the three families, written once over the |D| stencil
 # ---------------------------------------------------------------------------
 
-def _stencil(f: Surface, rect: Rect, pt: EvalPoint) -> list[list[float]]:
-    """|D| on {a, x, b} x {c, y, d} from one mixed-partial call.
+# (f, rect, pt, D) of the last _stencil call, shared by every family at pt
+_last_stencil = None
+
+
+def _stencil(f: Surface, rect: Rect, pt: EvalPoint) -> Stencil:
+    """|D| on {a, x, b} x {c, y, d} from one mixed-partial call, or from
+    the last call when it had this f (by identity), rect and pt.
 
     D[i][j] is |D| at the i-th of (a, x, b) and the j-th of (c, y, d).
     """
-    u, v = np.meshgrid((rect.a, pt.x, rect.b), (rect.c, pt.y, rect.d), indexing="ij")
-    return np.abs(f.mixed_partial(u, v)).tolist()
+    global _last_stencil
+    last = _last_stencil
+    if last is not None and last[0] is f and last[1] == rect and last[2] == pt:
+        return last[3]
+    a, b, x = rect.a, rect.b, pt.x
+    u = np.array(((a, a, a), (x, x, x), (b, b, b)), dtype=float)
+    v = np.array(((rect.c, pt.y, rect.d),) * 3, dtype=float)
+    D = tuple(map(tuple, np.abs(f.mixed_partial(u, v)).tolist()))
+    _last_stencil = (f, rect, pt, D)
+    return D
 
 
-def _t1(D: list[list[float]], rect: Rect, pt: EvalPoint, s: float) -> float:
+def _t1(D: Stencil, rect: Rect, pt: EvalPoint, s: float) -> float:
     """First-power bound, grouped by evaluation point."""
     a, b, c, d = rect.a, rect.b, rect.c, rect.d
     x, y = pt.x, pt.y
@@ -189,7 +205,7 @@ def _t1(D: list[list[float]], rect: Rect, pt: EvalPoint, s: float) -> float:
     return acc / (rect.area * (s + 2.0) ** 2)
 
 
-def _quadrant_sum(D: list[list[float]], rect: Rect, pt: EvalPoint, q: float,
+def _quadrant_sum(D: Stencil, rect: Rect, pt: EvalPoint, q: float,
                   edge_w: float, corner_w: float) -> float:
     """Sum over the quadrants, in canonical corner order, of the squared
     weight product / area times the q-mean of (x, y), the quadrant's two
@@ -208,7 +224,7 @@ def _quadrant_sum(D: list[list[float]], rect: Rect, pt: EvalPoint, q: float,
 
 def family_stencil_rhs(theorem: TheoremId, s: float, q: float | None = None,
                        constant_mode: PrefactorMode = PrefactorMode.VERBATIM
-                       ) -> Callable[[list[list[float]], Rect, EvalPoint], float]:
+                       ) -> Callable[[Stencil, Rect, EvalPoint], float]:
     """The right side of family t1, t2 or t3 as a function of (D, rect, pt),
     where D[i][j] is |D| at the i-th of (a, x, b) and the j-th of (c, y, d).
 
@@ -278,13 +294,12 @@ def _certify_abs_mixed(f: Surface, rect: Rect, s: float, power: float,
 def _report(tid: TheoremId, family: TheoremId, f: Surface, rect: Rect,
             pt: EvalPoint, s: float, q: float | None, constant_mode: PrefactorMode,
             mode: NormalizationMode, cfg: QuadConfig, certify: bool = False,
-            sampler: SamplerConfig = SamplerConfig(),
-            lhs_at: Callable[[EvalPoint], float] | None = None, **extra) -> BoundReport:
+            sampler: SamplerConfig = SamplerConfig(), **extra) -> BoundReport:
     """The family bound at pt against the left side there, reported as tid."""
     rhs_at = family_rhs(family, s, q, constant_mode)
     power = 1.0 if family is TheoremId.T1 else q
     certified = _certify_abs_mixed(f, rect, s, power, sampler) if certify else None
-    lhs = abs(lemma_lhs(f, rect, pt, mode, cfg) if lhs_at is None else lhs_at(pt))
+    lhs = abs(lemma_lhs(f, rect, pt, mode, cfg))
     if family is not TheoremId.T1:
         extra["q"] = q
     if family is TheoremId.T3:
@@ -298,15 +313,10 @@ def family_report(theorem: TheoremId, f: Surface, rect: Rect, pt: EvalPoint,
                   constant_mode: PrefactorMode = PrefactorMode.VERBATIM,
                   mode: NormalizationMode = NormalizationMode.CORRECTED,
                   cfg: QuadConfig = QuadConfig(), certify: bool = False,
-                  sampler: SamplerConfig = SamplerConfig(), *,
-                  lhs_at: Callable[[EvalPoint], float] | None = None) -> BoundReport:
-    """Report of family t1, t2 or t3 at pt.
-
-    Reports on one (f, rect, mode, cfg) can share their left side: pass
-    lhs_at = lemma_lhs_at(f, rect, mode, cfg), built for those same four.
-    """
+                  sampler: SamplerConfig = SamplerConfig()) -> BoundReport:
+    """Report of family t1, t2 or t3 at pt."""
     return _report(theorem, theorem, f, rect, pt, s, q, constant_mode, mode, cfg,
-                   certify, sampler, lhs_at)
+                   certify, sampler)
 
 
 def t1_report(f: Surface, rect: Rect, pt: EvalPoint, s: float,

@@ -23,9 +23,9 @@ exists to pin down.
 
 Once its four corner values, four edge integrals and area integral are
 known, the left side is bilinear in (x, y), and those nine numbers depend
-only on (f, rect). lemma_lhs_at computes them once and returns the left
-side as a function of the point; lemma_lhs is one call of it. Lattices,
-sweeps and refinements share one evaluator per (f, rect).
+only on (f, rect). lemma_lhs_at computes them once, remembers them for
+the next queries on that (f, rect), and returns the left side as a
+function of the point; lemma_lhs is one call of it.
 
 Polynomial surfaces get a fully rational path: every term above is a
 polynomial integral, so the residual can be shown to vanish exactly.
@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .domain import EvalPoint, NormalizationMode, Rect
 from .quad import QuadConfig, integrate_1d, integrate_2d, poly1d_integral_exact, poly_integral_exact
@@ -138,39 +139,61 @@ def corner_term_A(f: Surface, rect: Rect, pt: EvalPoint,
     return _corner_sum((rect.a, rect.b, rect.c, rect.d), pt.x, pt.y, fc, mode)
 
 
+# (f, rect, path) entries _lhs_parts keeps: every (surface, rect) of a battery
+_LHS_MEMO_SIZE = 128
+
+
+@dataclass(frozen=True, eq=False)
+class _Same:
+    """A Surface keyed by identity, as hashing its value costs microseconds;
+    the memo holds it, so its id() is not reused while it is a key."""
+
+    f: Surface
+
+    def __hash__(self):
+        return id(self.f)
+
+    def __eq__(self, other):
+        return self.f is other.f
+
+
+@lru_cache(maxsize=_LHS_MEMO_SIZE)
+def _lhs_parts(same: _Same, rect: Rect, cfg: QuadConfig | None):
+    """(rect coordinates, corner values, edge integrals, area integral) of
+    same.f over rect: rational when cfg is None, by Gauss-Legendre under cfg
+    otherwise. Errors propagate and are not remembered."""
+    f = same.f
+    if cfg is None:
+        return (rect.exact(), *_exact_parts(f.poly, rect))
+    a, b, c, d = r = (rect.a, rect.b, rect.c, rect.d)
+    fc = tuple(f(p.x, p.y) for p in rect.corners())
+    edges = (integrate_1d(lambda v: f.fn(a, v), c, d, cfg).value,
+             integrate_1d(lambda v: f.fn(b, v), c, d, cfg).value,
+             integrate_1d(lambda u: f.fn(u, d), a, b, cfg).value,
+             integrate_1d(lambda u: f.fn(u, c), a, b, cfg).value)
+    return r, fc, edges, integrate_2d(f.fn, rect, cfg).value
+
+
 def lemma_lhs_at(f: Surface, rect: Rect,
                  mode: NormalizationMode = NormalizationMode.CORRECTED,
                  cfg: QuadConfig = QuadConfig(), use_exact: bool = True
                  ) -> Callable[[EvalPoint], float]:
     """The signed left-hand side as a function of the point.
 
-    The four corner values, the four edge integrals and the area integral
-    depend only on (f, rect), so they are computed here, once: rationally
-    on polynomial surfaces unless use_exact is off, by Gauss-Legendre
-    otherwise. EvalError and ToleranceNotMet surface here, not per point.
-    Each call then costs a few arithmetic operations and gives the value
-    lemma_lhs gives, bit for bit; a point outside rect raises ValueError.
+    The corner values, edge integrals and area integral depend only on
+    (f, rect): rational on polynomial surfaces unless use_exact is off,
+    Gauss-Legendre under cfg otherwise. The last _LHS_MEMO_SIZE (f by
+    identity, rect, path) keep them for both modes; EvalError and
+    ToleranceNotMet surface here and are not kept. Each call then gives
+    lemma_lhs's value bit for bit; a point outside rect raises ValueError.
     """
-    if use_exact and f.poly is not None:
-        r = rect.exact()
-        parts = _exact_parts(f.poly, rect)
-
-        def exact_at(pt: EvalPoint) -> float:
-            _check_point(rect, pt)
-            return float(_lhs_combination(r, *pt.exact(), *parts, mode))
-
-        return exact_at
-    r = (rect.a, rect.b, rect.c, rect.d)
-    a, b, c, d = r
-    fc = tuple(f(p.x, p.y) for p in rect.corners())
-    edges = (integrate_1d(lambda v: f.fn(a, v), c, d, cfg).value,
-             integrate_1d(lambda v: f.fn(b, v), c, d, cfg).value,
-             integrate_1d(lambda u: f.fn(u, d), a, b, cfg).value,
-             integrate_1d(lambda u: f.fn(u, c), a, b, cfg).value)
-    whole = integrate_2d(f.fn, rect, cfg).value
+    exact = use_exact and f.poly is not None
+    r, fc, edges, whole = _lhs_parts(_Same(f), rect, None if exact else cfg)
 
     def at(pt: EvalPoint) -> float:
         _check_point(rect, pt)
+        if exact:
+            return float(_lhs_combination(r, *pt.exact(), fc, edges, whole, mode))
         return _lhs_combination(r, pt.x, pt.y, fc, edges, whole, mode)
 
     return at
@@ -183,8 +206,8 @@ def lemma_lhs(f: Surface, rect: Rect, pt: EvalPoint,
 
     Polynomial surfaces go through the rational oracle unless use_exact is
     switched off (the boundary integrals and the area integral are then
-    Gauss-Legendre like everything else). Several points on one (f, rect)
-    should share one lemma_lhs_at instead.
+    Gauss-Legendre like everything else). Points on one (f, rect) share
+    its integrals through lemma_lhs_at.
     """
     _check_point(rect, pt)
     return lemma_lhs_at(f, rect, mode, cfg, use_exact)(pt)

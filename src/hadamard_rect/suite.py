@@ -18,7 +18,7 @@ from .bounds import (CHAIN_TOL, Corner, TheoremId, chain_evaluate, corner_report
                      midpoint_report, remark_aggregate, t1_rhs, t2_rhs, t3_rhs)
 from .domain import (EvalPoint, NormalizationMode, PrefactorMode, Rect,
                      make_holder_pair)
-from .identity import lemma_lhs_at, lemma_residual, lemma_residual_exact
+from .identity import lemma_lhs, lemma_residual, lemma_residual_exact
 from .quad import (DEEP, QuadConfig, holder_kernel_constant, integrate_1d,
                    integrate_2d, kernel_moment)
 from .serialize import rows_to_csv
@@ -144,16 +144,6 @@ def check_c2_verbatim_residual(tol_override: float | None = None) -> CheckResult
                        PASS if ok else FAIL, detail)
 
 
-def _battery_lhs_cache(surfaces, rects, cfg) -> dict:
-    cache = {}
-    for fi, f in enumerate(surfaces):
-        for ri, rect in enumerate(rects):
-            lhs_at = lemma_lhs_at(f, rect, NormalizationMode.CORRECTED, cfg)
-            for pi, pt in enumerate(theorem_battery_points(rect)):
-                cache[(fi, ri, pi)] = abs(lhs_at(pt))
-    return cache
-
-
 def check_c3_theorem_battery(tol_override: float | None = None) -> CheckResult:
     """No violations of t1/t2/t3 across the certified catalog battery."""
     margin_tol = _tol(1e-10, tol_override)
@@ -161,14 +151,13 @@ def check_c3_theorem_battery(tol_override: float | None = None) -> CheckResult:
     rects = theorem_battery_rects()
     s_values = (0.25, 0.5, 0.75, 1.0)
     cfg = QuadConfig(gl_order=32, max_subdiv=24, abs_tol=1e-11)
-    lhs_cache = _battery_lhs_cache(surfaces, rects, cfg)
     violations = 0
     worst = np.inf
     reports = 0
-    for fi, f in enumerate(surfaces):
-        for ri, rect in enumerate(rects):
-            for pi, pt in enumerate(theorem_battery_points(rect)):
-                lhs = lhs_cache[(fi, ri, pi)]
+    for f in surfaces:
+        for rect in rects:
+            for pt in theorem_battery_points(rect):
+                lhs = abs(lemma_lhs(f, rect, pt, cfg=cfg))
                 for s in s_values:
                     rhss = [t1_rhs(f, rect, pt, s)]
                     rhss += [t2_rhs(f, rect, pt, s, q) for q in (1.5, 2.0, 3.0)]

@@ -122,12 +122,12 @@ def test_each_point_bound_makes_one_nine_point_mixed_partial_call():
         return U2V2.mixed_fn(u, v)
 
     f = dataclasses.replace(U2V2, mixed_fn=counting)
-    pt = EvalPoint(0.75, 0.25)
-    for rhs in (lambda: t1_rhs(f, WIDE, pt, 0.5), lambda: t2_rhs(f, WIDE, pt, 0.5, 2.0),
-                lambda: t3_rhs(f, WIDE, pt, 0.5, 3.0)):
-        sizes.clear()
-        rhs()
-        assert sizes == [9]
+    # t1, t2 and t3 at one point share one call; a second point adds one
+    for pt, calls in ((EvalPoint(0.75, 0.25), [9]), (EvalPoint(1.5, 0.5), [9, 9])):
+        t1_rhs(f, WIDE, pt, 0.5)
+        t2_rhs(f, WIDE, pt, 0.5, 2.0)
+        t3_rhs(f, WIDE, pt, 0.5, 3.0)
+        assert sizes == calls
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each test runs the source tree's CLI as ``python -m hadamard_rect.cli`` in a
 subprocess, with this repository's ``src/`` put first on ``PYTHONPATH``, so
-the suite checks the code it sits next to and needs no install. Only
+the suite checks the code it sits next to and needs no install; one test
+also calls ``cli.main`` in process and compares it with those runs. Only
 ``test_installed_console_script_matches_golden_bytes`` needs the package
 installed: it runs the ``hadamard-rect`` console script and is skipped where
 that script is not on ``PATH``.
@@ -18,6 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from hadamard_rect import cli
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -258,6 +261,22 @@ def test_cli_flags_override_config(tmp_path):
     cfg.write_text(CFG)
     res = run_cli("bound", "--config", str(cfg), "--s", "1")
     assert json.loads(res.stdout)["results"][0]["params"]["s"] == 1.0
+
+
+def test_in_process_calls_share_one_parser_and_match_fresh_runs(tmp_path, monkeypatch,
+                                                                capsys):
+    cfg = tmp_path / "bound.cfg"
+    cfg.write_text(CFG)
+    calls = [("bound", "--config", str(cfg)),
+             ("scan", "--catalog", "uv", "--grid", "2", "--format", "csv"),
+             ("lemma", "--catalog", "nope")]
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    cli._parser.cache_clear()
+    for args in calls:
+        code = cli.main(list(args))
+        fresh = run_cli(*args)
+        assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout)
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_config_unknown_key_rejected(tmp_path):

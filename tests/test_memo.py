@@ -1,0 +1,107 @@
+"""The left-side and stencil memos: repeated queries on one (f, rect) or
+one point reuse earlier work and give the values a cold call gives.
+
+tests/conftest.py empties both memos before each test.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from hadamard_rect import bounds, cli, identity
+from hadamard_rect.bounds import t1_rhs, t2_rhs, t3_rhs
+from hadamard_rect.domain import EvalPoint, NormalizationMode, PrefactorMode, Rect
+from hadamard_rect.identity import lemma_lhs
+from hadamard_rect.quad import ToleranceNotMet
+from hadamard_rect.surfaces import EvalError, catalog_lookup, parse_surface
+
+UNIT = Rect(0.0, 1.0, 0.0, 1.0)
+OFF = Rect(0.5, 2.5, 1.0, 3.0)
+POINTS = (EvalPoint(0.5, 1.0), EvalPoint(1.25, 2.5), EvalPoint(2.5, 3.0), OFF.midpoint())
+
+
+def _empty_memos():
+    identity._lhs_parts.cache_clear()
+    bounds._last_stencil = None
+
+
+def _values(f, use_exact, cold):
+    """Left sides in both modes and three right sides at every point; cold
+    empties both memos before each value."""
+    out = []
+    for pt in POINTS:
+        for value in (
+                lambda: lemma_lhs(f, OFF, pt, NormalizationMode.CORRECTED, use_exact=use_exact),
+                lambda: lemma_lhs(f, OFF, pt, NormalizationMode.VERBATIM, use_exact=use_exact),
+                lambda: t1_rhs(f, OFF, pt, 0.5),
+                lambda: t2_rhs(f, OFF, pt, 0.25, 3.0),
+                lambda: t3_rhs(f, OFF, pt, 0.75, 2.0, PrefactorMode.SHARPENED)):
+            if cold:
+                _empty_memos()
+            out.append(value())
+    return out
+
+
+@pytest.mark.parametrize("name,use_exact", [("u2v2", True), ("u2v2", False),
+                                            ("u2.5v2", True)],
+                         ids=["exact", "quadrature-polynomial", "quadrature-power"])
+def test_warm_values_equal_cold_values(name, use_exact):
+    f = catalog_lookup(name)
+    cold = _values(f, use_exact, cold=True)
+    warm = _values(f, use_exact, cold=False)
+    assert warm == cold
+    # both modes and every point read one entry
+    assert identity._lhs_parts.cache_info().currsize == 1
+
+
+def test_a_replaced_surface_never_reads_the_original_entries():
+    f = catalog_lookup("u2.5v2")
+    pt = POINTS[1]
+    want = (lemma_lhs(f, OFF, pt), t1_rhs(f, OFF, pt, 0.5))
+    fn_calls, mixed_calls = [], []
+    g = dataclasses.replace(f, fn=lambda u, v: fn_calls.append(1) or f.fn(u, v),
+                            mixed_fn=lambda u, v: mixed_calls.append(1) or f.mixed_fn(u, v))
+    assert (lemma_lhs(g, OFF, pt), t1_rhs(g, OFF, pt, 0.5)) == want
+    assert fn_calls and mixed_calls
+    # an equal copy is still another surface
+    h = dataclasses.replace(f)
+    assert h == f
+    lemma_lhs(h, OFF, pt)
+    assert identity._lhs_parts.cache_info().currsize == 3
+
+
+def test_errors_are_raised_again_and_never_remembered():
+    # |D| of (u+v)^0.5*u is NaN at (0, 0): the finite difference leaves the domain
+    f = parse_surface("(u+v)^0.5*u")
+    with np.errstate(invalid="ignore"):
+        for _ in range(2):
+            with pytest.raises(EvalError, match="nan"):
+                t1_rhs(f, UNIT, UNIT.midpoint(), 0.5)
+    assert bounds._last_stencil is None
+    # the left side of u^0.5*v^0.5 misses the default tolerance on [0,1]^2
+    g = parse_surface("u^0.5*v^0.5")
+    for _ in range(2):
+        with pytest.raises(ToleranceNotMet):
+            lemma_lhs(g, UNIT, UNIT.midpoint())
+    assert identity._lhs_parts.cache_info().currsize == 0
+
+
+def test_left_side_table_stays_within_its_bound():
+    f = catalog_lookup("uv")
+    rects = [Rect(0.0, 1.0 + k / 64, 0.0, 1.0) for k in range(2 * identity._LHS_MEMO_SIZE)]
+    first = lemma_lhs(f, rects[0], EvalPoint(0.5, 0.5))
+    for rect in rects[1:]:
+        lemma_lhs(f, rect, EvalPoint(0.5, 0.5))
+        assert identity._lhs_parts.cache_info().currsize <= identity._LHS_MEMO_SIZE
+    # the oldest entry was dropped: the first rect is computed again, equally
+    misses = identity._lhs_parts.cache_info().misses
+    assert lemma_lhs(f, rects[0], EvalPoint(0.5, 0.5)) == first
+    assert identity._lhs_parts.cache_info().misses == misses + 1
+
+
+def test_two_suite_runs_in_one_process_give_identical_json(capsys):
+    runs = []
+    for _ in range(2):
+        assert cli.main(["suite", "--format", "json"]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
