@@ -22,7 +22,7 @@ from . import __version__
 from .analysis import compare_families, scan_gap, sweep_s
 from .bounds import (BOUND_ABS_TOL, CHAIN_TOL, BoundReport, Corner, TheoremId,
                      _certify_abs_mixed, chain_evaluate, corner_report,
-                     family_report, midpoint_report)
+                     family_report, family_rhs, midpoint_report)
 from .domain import (BadExponent, DegenerateRect, EvalPoint, NormalizationMode,
                      PrefactorMode, Rect, make_rect)
 from .identity import lemma_residual
@@ -45,6 +45,7 @@ _MODES = {"corrected": NormalizationMode.CORRECTED,
 _CONSTANTS = {"verbatim": PrefactorMode.VERBATIM,
               "sharpened": PrefactorMode.SHARPENED}
 _POINT_FAMILIES = {"t1": TheoremId.T1, "t2": TheoremId.T2, "t3": TheoremId.T3}
+_FAMILY_OF = {**_POINT_FAMILIES, "c1": TheoremId.T1, "c2": TheoremId.T2, "c3": TheoremId.T3}
 _BOUND_THEOREMS = ("t1", "t2", "t3",
                    "c1_1", "c1_2", "c1_3", "c1_4", "c1_mid", "mid",
                    "c2_1", "c2_2", "c2_3", "c2_4", "c2_5",
@@ -316,22 +317,17 @@ def cmd_lemma(ns) -> int:
 
 
 def _one_bound(theorem: str, f, rect, pt, s, q, mode, cmode, cfg,
-               certify, sampler) -> BoundReport:
+               certified: bool | None) -> BoundReport:
+    family = _FAMILY_OF[theorem[:2]]
+    part = theorem[3:]
     if theorem in _POINT_FAMILIES:
-        return family_report(_POINT_FAMILIES[theorem], f, rect, pt, s, q, cmode,
-                             mode, cfg, certify, sampler)
-    family_txt, _, part = theorem.partition("_")
-    family = {"c1": TheoremId.T1, "c2": TheoremId.T2, "c3": TheoremId.T3}[family_txt]
-    if part == "mid" or (family is not TheoremId.T1 and part == "5"):
+        rep = family_report(family, f, rect, pt, s, q, cmode, mode, cfg)
+    elif part == "mid" or (family is not TheoremId.T1 and part == "5"):
         rep = midpoint_report(family, f, rect, s, q, mode, cmode, cfg)
     else:
         rep = corner_report(family, _CORNER_FOR_PART[part], f, rect, s, q,
                             mode, cmode, cfg)
-    if certify:
-        power = 1.0 if family is TheoremId.T1 else float(q)
-        ok = _certify_abs_mixed(f, rect, s, power, sampler)
-        rep = dataclasses.replace(rep, hypothesis_certified=ok)
-    return rep
+    return rep if certified is None else dataclasses.replace(rep, hypothesis_certified=certified)
 
 
 def cmd_bound(ns) -> int:
@@ -359,8 +355,14 @@ def cmd_bound(ns) -> int:
     sampler = _sampler(ns)
     cfg = QuadConfig()
     loop = cmodes if is_t3_family else [PrefactorMode.VERBATIM]
-    reports = [_one_bound(theorem, f, rect, pt, s, ns.q, mode, cm, cfg,
-                          certify, sampler) for cm in loop]
+    certified = None
+    if certify:
+        family = _FAMILY_OF[theorem[:2]]
+        family_rhs(family, s, ns.q)  # checks s and q before any sampling
+        power = 1.0 if family is TheoremId.T1 else float(ns.q)
+        certified = _certify_abs_mixed(f, rect, s, power, sampler)
+    reports = [_one_bound(theorem, f, rect, pt, s, ns.q, mode, cm, cfg, certified)
+               for cm in loop]
     reports = _apply_tol(reports, ns.tol)
     skey, sval = _surface_config(ns)
     config = {skey: sval, "rect": ns.rect or "0,1,0,1", "theorem": theorem,

@@ -603,34 +603,41 @@ class CertificationReport:
     s: float
 
 
-def _scan_section(g, s: float, lo: float, hi: float, n_pairs: int,
-                  rng, tol: float, section) -> tuple[Witness | None, int]:
-    xs = rng.uniform(lo, hi, size=(n_pairs, 2))
-    x1 = xs[:, 0:1]
-    x2 = xs[:, 1:2]
-    g1 = np.asarray(g(xs[:, 0]), dtype=float).reshape(-1, 1)
-    g2 = np.asarray(g(xs[:, 1]), dtype=float).reshape(-1, 1)
+def _scan_sections(g, s: float, xs: np.ndarray, tol: float,
+                   sections) -> tuple[Witness | None, int]:
+    """First witness in scan order over sections xs[k] of (x1, x2) pairs, and
+    the samples scanned up to it. One g call takes each section's x1s, x2s and
+    lambda-midpoints in turn; a non-finite value raises EvalError."""
+    n, m, _ = xs.shape
+    lam = _LAMBDA_GRID
+    mid = lam * xs[:, :, :1] + (1.0 - lam) * xs[:, :, 1:]
+    pts = np.concatenate([xs[:, :, 0], xs[:, :, 1], mid.reshape(n, -1)], axis=1)
+    vals = np.asarray(g(pts.ravel()), dtype=float).reshape(pts.shape)
+    per = pts.shape[1]
+    if not np.isfinite(vals).all():
+        k, j = divmod(int(np.flatnonzero(~np.isfinite(vals))[0]), per)
+        where = "" if sections[k] is None else " on section %s = %r" % sections[k]
+        raise EvalError(f"certification sample is {vals[k, j]} at {float(pts[k, j])!r}{where}")
+    g1, g2, lhs = vals[:, :m], vals[:, m:2 * m], vals[:, 2 * m:].reshape(mid.shape)
+    rhs = lam ** s * g1[:, :, None] + (1.0 - lam) ** s * g2[:, :, None]
     # the definition lives on nonnegative functions; a negative sample is
     # already a counterexample
-    neg = np.argwhere(np.minimum(g1, g2) < -tol)
-    used = 2 * n_pairs
-    if neg.size:
-        r = int(neg[0, 0])
-        pt = float(xs[r, 0] if g1[r, 0] < -tol else xs[r, 1])
-        val = float(min(g1[r, 0], g2[r, 0]))
-        return Witness(pt, pt, 0.0, val, 0.0, -val, "negative_value", section), used
-    lam = _LAMBDA_GRID[None, :]
-    mid = lam * x1 + (1.0 - lam) * x2
-    lhs = np.asarray(g(mid.ravel()), dtype=float).reshape(mid.shape)
-    rhs = lam ** s * g1 + (1.0 - lam) ** s * g2
-    used += mid.size
-    bad = np.argwhere(lhs > rhs + tol)
-    if bad.size:
-        r, k = int(bad[0, 0]), int(bad[0, 1])
-        return Witness(float(x1[r, 0]), float(x2[r, 0]), float(_LAMBDA_GRID[k]),
-                       float(lhs[r, k]), float(rhs[r, k]),
-                       float(lhs[r, k] - rhs[r, k]), "inequality", section), used
-    return None, used
+    neg = np.minimum(g1, g2) < -tol
+    bad = lhs > rhs + tol
+    hit = np.flatnonzero(neg.any(axis=1) | bad.any(axis=(1, 2)))
+    if not hit.size:
+        return None, vals.size
+    k = int(hit[0])
+    x1, x2 = xs[k, :, 0], xs[k, :, 1]
+    if neg[k].any():
+        r = int(np.argwhere(neg[k])[0, 0])
+        pt = float(x1[r] if g1[k, r] < -tol else x2[r])
+        val = float(min(g1[k, r], g2[k, r]))
+        return Witness(pt, pt, 0.0, val, 0.0, -val, "negative_value", sections[k]), k * per + 2 * m
+    r, j = (int(i) for i in np.argwhere(bad[k])[0])
+    return Witness(float(x1[r]), float(x2[r]), float(lam[j]), float(lhs[k, r, j]),
+                   float(rhs[k, r, j]), float(lhs[k, r, j] - rhs[k, r, j]),
+                   "inequality", sections[k]), (k + 1) * per
 
 
 def certify_s_convex_second_sense(g, s: float, lo: float, hi: float,
@@ -642,8 +649,8 @@ def certify_s_convex_second_sense(g, s: float, lo: float, hi: float,
     if lo < 0:
         raise DomainNotNonnegative(f"s-convexity in the second sense lives on [0, inf), got lo={lo}")
     rng = np.random.default_rng(config.seed)
-    witness, used = _scan_section(g, s, lo, hi, config.n_pairs, rng,
-                                  config.violation_tol, None)
+    xs = rng.uniform(lo, hi, size=(1, config.n_pairs, 2))
+    witness, used = _scan_sections(g, s, xs, config.violation_tol, (None,))
     verdict = Verdict.COUNTEREXAMPLE if witness else Verdict.NO_COUNTEREXAMPLE_FOUND
     return CertificationReport(verdict, witness, used, config.seed, s)
 
@@ -652,28 +659,27 @@ def certify_coordinated(f, rect: Rect, s: float,
                         config: SamplerConfig = SamplerConfig()) -> CertificationReport:
     """Counterexample search for coordinated s-convexity of f(u, v) on rect.
 
-    Checks randomly chosen horizontal sections u -> f(u, v0) and vertical
-    sections v -> f(u0, v). First violation (in scan order) wins.
+    Checks randomly chosen horizontal sections u -> f(u, v0) in one f call,
+    then vertical sections v -> f(u0, v) in another. First violation wins.
     """
     if rect.a < 0 or rect.c < 0:
         raise DomainNotNonnegative(
             f"coordinated s-convexity lives on [0, inf)^2, got rect [{rect.a},{rect.b}]x[{rect.c},{rect.d}]")
     rng = np.random.default_rng(config.seed)
+    n, m = config.n_sections, config.pairs_per_section
+    v_cuts = rng.uniform(rect.c, rect.d, size=n)
+    u_cuts = rng.uniform(rect.a, rect.b, size=n)
     used = 0
-    v_cuts = rng.uniform(rect.c, rect.d, size=config.n_sections)
-    u_cuts = rng.uniform(rect.a, rect.b, size=config.n_sections)
-    for v0 in v_cuts:
-        witness, n = _scan_section(lambda u, v0=v0: f(u, np.full_like(np.asarray(u, float), v0)),
-                                   s, rect.a, rect.b, config.pairs_per_section, rng,
-                                   config.violation_tol, ("v", float(v0)))
-        used += n
-        if witness:
-            return CertificationReport(Verdict.COUNTEREXAMPLE, witness, used, config.seed, s)
-    for u0 in u_cuts:
-        witness, n = _scan_section(lambda v, u0=u0: f(np.full_like(np.asarray(v, float), u0), v),
-                                   s, rect.c, rect.d, config.pairs_per_section, rng,
-                                   config.violation_tol, ("u", float(u0)))
-        used += n
+    for axis, cuts, lo, hi in (("v", v_cuts, rect.a, rect.b), ("u", u_cuts, rect.c, rect.d)):
+        xs = rng.uniform(lo, hi, size=(n, m, 2))
+
+        def section_fn(x):
+            held = np.repeat(cuts, x.size // n)
+            return f(x, held) if axis == "v" else f(held, x)
+
+        witness, k = _scan_sections(section_fn, s, xs, config.violation_tol,
+                                    [(axis, float(c)) for c in cuts])
+        used += k
         if witness:
             return CertificationReport(Verdict.COUNTEREXAMPLE, witness, used, config.seed, s)
     return CertificationReport(Verdict.NO_COUNTEREXAMPLE_FOUND, None, used, config.seed, s)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from hadamard_rect import cli
+from hadamard_rect import bounds, cli
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -140,6 +140,23 @@ def test_bound_certify_records_hypothesis():
     assert json.loads(res.stdout)["results"][0]["hypothesis_certified"] is True
 
 
+@pytest.mark.parametrize("theorem, golden", [
+    ("t3", "golden_bound_t3_both_certify.json"),
+    ("c3_2", "golden_bound_c3_2_both_certify.json"),
+])
+def test_bound_certifies_once_for_both_constants(theorem, golden, monkeypatch, capsys):
+    calls = []
+    certify = bounds.certify_coordinated
+    monkeypatch.setattr(bounds, "certify_coordinated",
+                        lambda *args: calls.append(args) or certify(*args))
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    code = cli.main(["bound", "--theorem", theorem, "--t3-constant", "both",
+                     "--catalog", "u2v2", "--rect", "0,2,0,1", "--s", "0.5", "--q", "2",
+                     "--certify", "--format", "json"])
+    assert (code, len(calls)) == (0, 1)
+    assert capsys.readouterr().out == (DATA / golden).read_text()
+
+
 def test_bound_csv_output():
     res = run_cli("bound", "--catalog", "uv", "--format", "csv")
     lines = res.stdout.splitlines()
@@ -165,6 +182,15 @@ def test_chain_certify_rejects_negative_rect():
     res = run_cli("chain", "--catalog", "uv", "--rect=-1,1,0,1", "--certify")
     assert res.returncode == 2
     assert "error:" in res.stderr
+
+
+def test_chain_certify_names_the_first_non_finite_sample():
+    # (u-v)^2.5 is NaN wherever u < v; the sampler used to count NaN as a pass
+    res = run_cli("chain", "--fn", "(u-v)^2.5", "--rect", "0,1,0,1", "--certify")
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == [
+        "error: certification sample is nan at 0.04642819950617605 "
+        "on section v = 0.1375961892906249"]
 
 
 # ---------------------------------------------------------------------------

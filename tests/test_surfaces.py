@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadamard_rect.domain import Rect
-from hadamard_rect.surfaces import (DomainNotNonnegative, EvalError,
+from hadamard_rect.surfaces import (_LAMBDA_GRID, CertificationReport,
+                                    DomainNotNonnegative, EvalError,
                                     ParseError, Poly2, SamplerConfig,
                                     SurfaceKind, UnknownSurface, Verdict,
+                                    Witness,
                                     catalog, catalog_lookup,
                                     certify_coordinated,
                                     certify_s_convex_second_sense,
@@ -226,6 +230,175 @@ def test_certification_requires_nonnegative_domain():
         certify_s_convex_second_sense(lambda t: t * t, 0.5, -1.0, 1.0)
     with pytest.raises(DomainNotNonnegative):
         certify_coordinated(lambda u, v: u * v, Rect(-1.0, 1.0, 0.0, 1.0), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the sequential scan: one section, three g calls and one RNG draw at a
+# time. The library batches every section of an orientation into one g call
+# and must give the same reports, witness and samples_used included.
+# ---------------------------------------------------------------------------
+
+def _reference_scan_section(g, s: float, lo: float, hi: float, n_pairs: int,
+                            rng, tol: float, section) -> tuple[Witness | None, int]:
+    xs = rng.uniform(lo, hi, size=(n_pairs, 2))
+    x1 = xs[:, 0:1]
+    x2 = xs[:, 1:2]
+    g1 = np.asarray(g(xs[:, 0]), dtype=float).reshape(-1, 1)
+    g2 = np.asarray(g(xs[:, 1]), dtype=float).reshape(-1, 1)
+    # the definition lives on nonnegative functions; a negative sample is
+    # already a counterexample
+    neg = np.argwhere(np.minimum(g1, g2) < -tol)
+    used = 2 * n_pairs
+    if neg.size:
+        r = int(neg[0, 0])
+        pt = float(xs[r, 0] if g1[r, 0] < -tol else xs[r, 1])
+        val = float(min(g1[r, 0], g2[r, 0]))
+        return Witness(pt, pt, 0.0, val, 0.0, -val, "negative_value", section), used
+    lam = _LAMBDA_GRID[None, :]
+    mid = lam * x1 + (1.0 - lam) * x2
+    lhs = np.asarray(g(mid.ravel()), dtype=float).reshape(mid.shape)
+    rhs = lam ** s * g1 + (1.0 - lam) ** s * g2
+    used += mid.size
+    bad = np.argwhere(lhs > rhs + tol)
+    if bad.size:
+        r, k = int(bad[0, 0]), int(bad[0, 1])
+        return Witness(float(x1[r, 0]), float(x2[r, 0]), float(_LAMBDA_GRID[k]),
+                       float(lhs[r, k]), float(rhs[r, k]),
+                       float(lhs[r, k] - rhs[r, k]), "inequality", section), used
+    return None, used
+
+
+def reference_certify_s_convex_second_sense(g, s: float, lo: float, hi: float,
+                                            config: SamplerConfig = SamplerConfig()
+                                            ) -> CertificationReport:
+    rng = np.random.default_rng(config.seed)
+    witness, used = _reference_scan_section(g, s, lo, hi, config.n_pairs, rng,
+                                            config.violation_tol, None)
+    verdict = Verdict.COUNTEREXAMPLE if witness else Verdict.NO_COUNTEREXAMPLE_FOUND
+    return CertificationReport(verdict, witness, used, config.seed, s)
+
+
+def reference_certify_coordinated(f, rect: Rect, s: float,
+                                  config: SamplerConfig = SamplerConfig()
+                                  ) -> CertificationReport:
+    rng = np.random.default_rng(config.seed)
+    used = 0
+    v_cuts = rng.uniform(rect.c, rect.d, size=config.n_sections)
+    u_cuts = rng.uniform(rect.a, rect.b, size=config.n_sections)
+    for v0 in v_cuts:
+        witness, n = _reference_scan_section(
+            lambda u, v0=v0: f(u, np.full_like(np.asarray(u, float), v0)),
+            s, rect.a, rect.b, config.pairs_per_section, rng,
+            config.violation_tol, ("v", float(v0)))
+        used += n
+        if witness:
+            return CertificationReport(Verdict.COUNTEREXAMPLE, witness, used, config.seed, s)
+    for u0 in u_cuts:
+        witness, n = _reference_scan_section(
+            lambda v, u0=u0: f(np.full_like(np.asarray(v, float), u0), v),
+            s, rect.c, rect.d, config.pairs_per_section, rng,
+            config.violation_tol, ("u", float(u0)))
+        used += n
+        if witness:
+            return CertificationReport(Verdict.COUNTEREXAMPLE, witness, used, config.seed, s)
+    return CertificationReport(Verdict.NO_COUNTEREXAMPLE_FOUND, None, used, config.seed, s)
+
+
+# convex, concave along v-sections, concave along u-sections, negative
+# valued, and of changing curvature (whether a pair fails depends on lambda)
+SURFACES_2D = {
+    "u^2+v^2": lambda u, v: u * u + v * v,
+    "sqrt(u)+v": lambda u, v: np.sqrt(u) + v,
+    "u+sqrt(v)": lambda u, v: u + np.sqrt(v),
+    "u*v-1": lambda u, v: u * v - 1.0,
+    "2+cos(3u)+cos(3v)": lambda u, v: 2.0 + np.cos(3.0 * u) + np.cos(3.0 * v),
+}
+SECTIONS_1D = {"t^2": lambda t: t * t, "sqrt(t)": np.sqrt, "t-1": lambda t: t - 1.0,
+               "2+cos(3t)": lambda t: 2.0 + np.cos(3.0 * t)}
+
+_ends = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
+_widths = st.floats(min_value=0.01, max_value=4.0, allow_nan=False)
+_s_values = st.one_of(st.just(1.0), st.floats(min_value=0.01, max_value=1.0))
+_seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SURFACES_2D)), a=_ends, c=_ends, wu=_widths,
+       wv=_widths, s=_s_values, seed=_seeds)
+def test_batched_coordinated_certification_equals_the_sequential_scan(name, a, c, wu,
+                                                                       wv, s, seed):
+    f = SURFACES_2D[name]
+    rect = Rect(a, a + wu, c, c + wv)
+    cfg = SamplerConfig(seed=seed)
+    assert certify_coordinated(f, rect, s, cfg) == reference_certify_coordinated(f, rect, s, cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SECTIONS_1D)), lo=_ends, width=_widths,
+       s=_s_values, seed=_seeds)
+def test_batched_1d_certification_equals_the_sequential_scan(name, lo, width, s, seed):
+    g = SECTIONS_1D[name]
+    cfg = SamplerConfig(seed=seed)
+    assert (certify_s_convex_second_sense(g, s, lo, lo + width, cfg)
+            == reference_certify_s_convex_second_sense(g, s, lo, lo + width, cfg))
+
+
+@pytest.mark.parametrize("name, rect, s, seed, kind, axis", [
+    ("sqrt(u)+v", Rect(0.0, 4.0, 0.0, 1.0), 1.0, 5, "inequality", "v"),
+    ("u+sqrt(v)", Rect(0.0, 1.0, 0.0, 4.0), 1.0, 5, "inequality", "u"),
+    ("u*v-1", Rect(0.0, 1.0, 0.0, 1.0), 0.5, 3, "negative_value", "v"),
+])
+def test_witnesses_of_each_kind_equal_the_sequential_scan(name, rect, s, seed, kind, axis):
+    f = SURFACES_2D[name]
+    report = certify_coordinated(f, rect, s, SamplerConfig(seed=seed))
+    assert (report.witness.kind, report.witness.section[0]) == (kind, axis)
+    assert report == reference_certify_coordinated(f, rect, s, SamplerConfig(seed=seed))
+
+
+def _counted(fn):
+    def wrapper(*args):
+        wrapper.calls += 1
+        return fn(*args)
+    wrapper.calls = 0
+    return wrapper
+
+
+@pytest.mark.parametrize("name, rect, calls", [
+    ("u^2+v^2", Rect(0.0, 2.0, 0.0, 1.0), 2),      # clean verdict: both orientations
+    ("sqrt(u)+v", Rect(0.0, 4.0, 0.0, 1.0), 1),    # v-section witness: u-sections skipped
+])
+def test_coordinated_certification_makes_one_call_per_orientation(name, rect, calls):
+    g = _counted(SURFACES_2D[name])
+    certify_coordinated(g, rect, 1.0, SamplerConfig(seed=5))
+    assert g.calls == calls
+
+
+def test_1d_certification_makes_one_call():
+    g = _counted(SECTIONS_1D["t^2"])
+    report = certify_s_convex_second_sense(g, 1.0, 0.0, 2.0)
+    assert (g.calls, report.samples_used) == (1, 660 * 17)
+
+
+def test_non_finite_certification_sample_raises():
+    f = parse_surface("(u-v)^2.5").fn
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(EvalError, match=r"is nan at 0\.0464\d* on section v = 0\.1375"):
+            certify_coordinated(f, Rect(0.0, 1.0, 0.0, 1.0), 1.0)
+        with pytest.raises(EvalError, match="is nan at"):
+            certify_coordinated(lambda u, v: np.full_like(u, np.nan), Rect(0.0, 1.0, 0.0, 1.0), 1.0)
+        with pytest.raises(EvalError, match=r"is nan at 0\.\d+$"):
+            certify_s_convex_second_sense(lambda t: np.sqrt(t - 0.5), 1.0, 0.0, 1.0)
+    with pytest.raises(EvalError, match="is inf at"):
+        certify_s_convex_second_sense(lambda t: np.where(t > 0.5, np.inf, t), 1.0, 0.0, 1.0)
+
+
+def test_non_finite_sample_after_a_witness_section_raises():
+    # the first v-section already holds a witness; its NaN sits in a later one
+    def g(u, v):
+        return np.where(v > 0.5, np.nan, -1.0 + 0.0 * u)
+    assert reference_certify_coordinated(g, Rect(0.0, 1.0, 0.0, 1.0), 1.0).witness.section[1] < 0.5
+    with pytest.raises(EvalError):
+        certify_coordinated(g, Rect(0.0, 1.0, 0.0, 1.0), 1.0)
 
 
 def test_const_surface_roundtrip():
