@@ -111,6 +111,12 @@ _CORNER_IDS = {(family, corner): TheoremId(f"c{family.value[1]}_{part}")
 _MID_IDS = {TheoremId.T1: TheoremId.C1_MID, TheoremId.T2: TheoremId.C2_5,
             TheoremId.T3: TheoremId.C3_5}
 
+# every family and specialization id -> (family, where it is evaluated):
+# None at a given point, else its Corner or "mid" for the midpoint
+_POINT_IDS = {**{family: (family, None) for family in _FAMILY_NAMES},
+              **{tid: key for key, tid in _CORNER_IDS.items()},
+              **{tid: (family, "mid") for family, tid in _MID_IDS.items()}}
+
 _AGGREGATE_FAMILY = {TheoremId.R_C15: TheoremId.T1, TheoremId.R_METU: TheoremId.T2,
                      TheoremId.R_FINAL: TheoremId.T3}
 
@@ -291,14 +297,27 @@ def _certify_abs_mixed(f: Surface, rect: Rect, s: float, power: float,
     return ok
 
 
-def _report(tid: TheoremId, family: TheoremId, f: Surface, rect: Rect,
-            pt: EvalPoint, s: float, q: float | None, constant_mode: PrefactorMode,
-            mode: NormalizationMode, cfg: QuadConfig, certify: bool = False,
-            sampler: SamplerConfig = SamplerConfig(), **extra) -> BoundReport:
-    """The family bound at pt against the left side there, reported as tid."""
+def _certify_family(family: TheoremId, f: Surface, rect: Rect, s: float,
+                    q: float | None, sampler: SamplerConfig) -> bool:
+    """Certify the family's hypothesis on |D| (|D|^q for t2 and t3), after
+    checking s and q."""
+    family_rhs(family, s, q)
+    return _certify_abs_mixed(f, rect, s, 1.0 if family is TheoremId.T1 else q, sampler)
+
+
+def _point_report(tid: TheoremId, f: Surface, rect: Rect, pt: EvalPoint | None,
+                  s: float, q: float | None, constant_mode: PrefactorMode,
+                  mode: NormalizationMode, cfg: QuadConfig,
+                  certified: bool | None = None) -> BoundReport:
+    """Report of any id in _POINT_IDS: a family at pt, or a specialization,
+    its family at its corner or at the midpoint (pt is then unused)."""
+    family, where = _POINT_IDS[tid]
+    extra = {}
+    if where == "mid":
+        pt = rect.midpoint()
+    elif where is not None:
+        pt, extra = where.point(rect), {"corner": where.value}
     rhs_at = family_rhs(family, s, q, constant_mode)
-    power = 1.0 if family is TheoremId.T1 else q
-    certified = _certify_abs_mixed(f, rect, s, power, sampler) if certify else None
     lhs = abs(lemma_lhs(f, rect, pt, mode, cfg))
     if family is not TheoremId.T1:
         extra["q"] = q
@@ -315,8 +334,10 @@ def family_report(theorem: TheoremId, f: Surface, rect: Rect, pt: EvalPoint,
                   cfg: QuadConfig = QuadConfig(), certify: bool = False,
                   sampler: SamplerConfig = SamplerConfig()) -> BoundReport:
     """Report of family t1, t2 or t3 at pt."""
-    return _report(theorem, theorem, f, rect, pt, s, q, constant_mode, mode, cfg,
-                   certify, sampler)
+    if theorem not in _FAMILY_NAMES:
+        raise ValueError(f"{theorem} is not a bound family (t1, t2, t3)")
+    certified = _certify_family(theorem, f, rect, s, q, sampler) if certify else None
+    return _point_report(theorem, f, rect, pt, s, q, constant_mode, mode, cfg, certified)
 
 
 def t1_report(f: Surface, rect: Rect, pt: EvalPoint, s: float,
@@ -353,8 +374,7 @@ def corner_report(theorem: TheoremId, corner: Corner, f: Surface, rect: Rect,
     tid = _CORNER_IDS.get((theorem, corner))
     if tid is None:
         raise ValueError(f"no corner specialization for {theorem}")
-    return _report(tid, theorem, f, rect, corner.point(rect), s, q, constant_mode,
-                   mode, cfg, corner=corner.value)
+    return _point_report(tid, f, rect, None, s, q, constant_mode, mode, cfg)
 
 
 def midpoint_report(theorem: TheoremId, f: Surface, rect: Rect, s: float,
@@ -366,8 +386,7 @@ def midpoint_report(theorem: TheoremId, f: Surface, rect: Rect, s: float,
     tid = _MID_IDS.get(theorem)
     if tid is None:
         raise ValueError(f"no midpoint specialization for {theorem}")
-    return _report(tid, theorem, f, rect, rect.midpoint(), s, q, constant_mode,
-                   mode, cfg)
+    return _point_report(tid, f, rect, None, s, q, constant_mode, mode, cfg)
 
 
 def remark_aggregate(remark: TheoremId, f: Surface, rect: Rect, s: float,

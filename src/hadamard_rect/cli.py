@@ -14,15 +14,15 @@ import dataclasses
 import functools
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import compare_families, scan_gap, sweep_s
-from .bounds import (BOUND_ABS_TOL, CHAIN_TOL, BoundReport, Corner, TheoremId,
-                     _certify_abs_mixed, chain_evaluate, corner_report,
-                     family_report, family_rhs, midpoint_report)
+from .bounds import (_POINT_IDS, BOUND_ABS_TOL, CHAIN_TOL, BoundReport, TheoremId,
+                     _certify_family, _point_report, chain_evaluate)
 from .domain import (BadExponent, DegenerateRect, EvalPoint, NormalizationMode,
                      PrefactorMode, Rect, make_rect)
 from .identity import lemma_residual
@@ -40,21 +40,9 @@ class UsageError(ValueError):
     """Bad flag combination or malformed value; exit code 2."""
 
 
-_MODES = {"corrected": NormalizationMode.CORRECTED,
-          "verbatim": NormalizationMode.VERBATIM}
-_CONSTANTS = {"verbatim": PrefactorMode.VERBATIM,
-              "sharpened": PrefactorMode.SHARPENED}
-_POINT_FAMILIES = {"t1": TheoremId.T1, "t2": TheoremId.T2, "t3": TheoremId.T3}
-_FAMILY_OF = {**_POINT_FAMILIES, "c1": TheoremId.T1, "c2": TheoremId.T2, "c3": TheoremId.T3}
-_BOUND_THEOREMS = ("t1", "t2", "t3",
-                   "c1_1", "c1_2", "c1_3", "c1_4", "c1_mid", "mid",
-                   "c2_1", "c2_2", "c2_3", "c2_4", "c2_5",
-                   "c3_1", "c3_2", "c3_3", "c3_4", "c3_5")
-_SCAN_KINDS = ("gap", "sweep", "compare")
-_FORMATS = ("json", "csv")
-
-# part number -> corner, shared by all three families
-_CORNER_FOR_PART = {"1": Corner.AC, "2": Corner.BD, "3": Corner.AD, "4": Corner.BC}
+_THEOREMS = (*(tid.value for tid in _POINT_IDS), "mid")     # bound --theorem
+_FAMILIES = ("t1", "t2", "t3")                             # scan --theorem
+_CERTIFICATION = {True: "no counterexample found", False: "COUNTEREXAMPLE FOUND"}
 
 _NOTE_NORMALIZATION = (
     "verbatim normalization divides the corner combination by the rectangle "
@@ -160,13 +148,21 @@ def _split_floats(text: str, n: int, what: str) -> list[float]:
         raise UsageError(f"{what} values must be numeric, got {text!r}")
 
 
-def _get_rect(ns) -> Rect:
-    return make_rect(*_split_floats(ns.rect if ns.rect is not None else "0,1,0,1",
-                                    4, "--rect"))
+def _surface(ns) -> tuple[Surface, Rect, dict]:
+    """The surface and the rectangle, and the report config that names them."""
+    if ns.fn is not None and ns.catalog is not None:
+        raise UsageError("--fn and --catalog are mutually exclusive")
+    if ns.fn is not None:
+        f, config = parse_surface(ns.fn), {"fn": ns.fn}
+    else:
+        name = ns.catalog if ns.catalog is not None else "uv"
+        f, config = catalog_lookup(name), {"catalog": name}
+    config["rect"] = ns.rect if ns.rect is not None else "0,1,0,1"
+    return f, make_rect(*_split_floats(config["rect"], 4, "--rect")), config
 
 
 def _get_point(ns, rect: Rect) -> EvalPoint:
-    if getattr(ns, "point", None) is None:
+    if ns.point is None:
         return rect.midpoint()
     x, y = _split_floats(ns.point, 2, "--point")
     return EvalPoint(x, y)
@@ -191,89 +187,99 @@ def _get_single_s(ns) -> float:
 
 
 def _get_mode(ns) -> NormalizationMode:
-    text = getattr(ns, "mode", None) or "corrected"
-    _check_choice("--mode", text, tuple(_MODES))
-    return _MODES[text]
+    text = ns.mode or "corrected"
+    _check_choice("--mode", text, [m.value for m in NormalizationMode])
+    return NormalizationMode(text)
 
 
-def _resolve_surface(ns) -> Surface:
-    if ns.fn is not None and ns.catalog is not None:
-        raise UsageError("--fn and --catalog are mutually exclusive")
-    if ns.fn is not None:
-        return parse_surface(ns.fn)
-    return catalog_lookup(ns.catalog if ns.catalog is not None else "uv")
+def _t3_constants(ns, config: dict, t3: bool, both: bool = False) -> list[PrefactorMode]:
+    """The --t3-constant modes to report, checked; "both" only where allowed.
+
+    A family other than t3 takes no constant, and its config does not name one.
+    """
+    text = ns.t3_constant or "verbatim"
+    _check_choice("--t3-constant", text,
+                  [m.value for m in PrefactorMode] + (["both"] if both else []))
+    if not t3:
+        return [PrefactorMode.VERBATIM]
+    config["t3-constant"] = text
+    return list(PrefactorMode) if text == "both" else [PrefactorMode(text)]
 
 
-def _surface_config(ns) -> tuple[str, str]:
-    if ns.fn is not None:
-        return "fn", ns.fn
-    return "catalog", ns.catalog if ns.catalog is not None else "uv"
+def _notes(mode: NormalizationMode, t3: bool = False) -> list[str]:
+    return (([_NOTE_T3_CONSTANT] if t3 else [])
+            + ([_NOTE_NORMALIZATION] if mode is NormalizationMode.VERBATIM else []))
 
 
-def _sampler(ns) -> SamplerConfig:
-    seed = getattr(ns, "seed", None)
-    return SamplerConfig(seed=seed) if seed is not None else SamplerConfig()
+def _sampler(ns, config: dict) -> SamplerConfig:
+    """The certification sampler; with --certify the config records its seed."""
+    sampler = SamplerConfig(seed=ns.seed) if ns.seed is not None else SamplerConfig()
+    if ns.certify:
+        config.update(certify=True, seed=sampler.seed)
+    return sampler
 
 
-def _check_format(ns) -> None:
-    if ns.format is not None:
-        _check_choice("--format", ns.format, _FORMATS)
+def _emit(ns, command: str, config: dict, results: list, summary: dict,
+          notes: list[str], header: list[str], rows: list, human: list[str],
+          ok: bool) -> int:
+    """Print or write the report and return the exit code, 0 if ok else 1.
 
-
-def _emit(ns, report: dict, header: list[str], rows: list, human: list[str]) -> None:
-    fmt = ns.format if ns.format is not None else "json"
-    text = report_to_json(report) if fmt == "json" else rows_to_csv(header, rows)
-    if ns.out:
+    --format json|csv prints the report; --out writes it (json by default)
+    and prints the human lines too; with neither, only those are printed.
+    """
+    if ns.out or ns.format is not None:
+        if ns.format == "csv":
+            text = rows_to_csv(header, rows)
+        else:
+            text = report_to_json(build_report(__version__, command, config, results,
+                                               summary, notes))
+        if not ns.out:
+            sys.stdout.write(text)
+            return 0 if ok else 1
         Path(ns.out).write_text(text)
-        for line in human:
-            print(line)
-        for note in report["notes"]:
-            print(f"note: {note}")
+    for line in human:
+        print(line)
+    for note in notes:
+        print(f"note: {note}")
+    if ns.out:
         print(f"report written to {ns.out}")
-    elif ns.format is not None:
-        sys.stdout.write(text)
-    else:
-        for line in human:
-            print(line)
-        for note in report["notes"]:
-            print(f"note: {note}")
+    return 0 if ok else 1
 
 
-def _report_dict(r: BoundReport) -> dict:
-    return {"theorem": r.theorem_id.value, "lhs": r.lhs, "rhs": r.rhs,
-            "margin": r.margin, "holds": r.holds, "tol": r.tol,
-            "params": r.params, "hypothesis_certified": r.hypothesis_certified}
+def _tag(r: BoundReport) -> str:
+    if "constant" in r.params:
+        return f"{r.theorem_id.value}[{r.params['constant']}]"
+    return r.theorem_id.value
 
 
-def _apply_tol(reports: list[BoundReport], tol: float | None) -> list[BoundReport]:
-    if tol is None:
-        return reports
-    if tol < 0:
-        raise UsageError("--tol must be nonnegative")
-    return [dataclasses.replace(r, tol=tol, holds=r.margin >= -tol) for r in reports]
+def _bound_table(key: str, reports, tol: float | None):
+    """CSV header and rows, JSON results, human lines and whether all hold,
+    of bound reports judged against tol (their own tolerance if None).
 
-
-def _bound_rows(reports: list[BoundReport]):
-    header = ["theorem", "constant", "lhs", "rhs", "margin", "holds"]
-    rows = [(r.theorem_id.value, r.params.get("constant", ""), r.lhs, r.rhs,
-             r.margin, r.holds) for r in reports]
-    return header, rows
-
-
-def _bound_human(reports: list[BoundReport]) -> list[str]:
-    lines = []
+    key names the first column: "s" keys each row by its s, any other key
+    by the theorem and its constant.
+    """
+    if tol is not None:
+        reports = [dataclasses.replace(r, tol=tol, holds=r.margin >= -tol) for r in reports]
+    by_s = key == "s"
+    header = [key, *([] if by_s else ["constant"]), "lhs", "rhs", "margin", "holds"]
+    rows, human = [], []
     for r in reports:
-        tag = r.theorem_id.value
-        if "constant" in r.params:
-            tag += f"[{r.params['constant']}]"
-        verdict = "holds" if r.holds else "VIOLATED"
-        lines.append(f"{tag:16s} lhs={_fmt(r.lhs)}  rhs={_fmt(r.rhs)}  "
-                     f"margin={_fmt(r.margin)}  {verdict}")
+        if by_s:
+            first, tag = (r.params["s"],), f"  s={_fmt(r.params['s']):8s}"
+        else:
+            first, tag = (r.theorem_id.value, r.params.get("constant", "")), f"{_tag(r):16s}"
+        rows.append((*first, r.lhs, r.rhs, r.margin, r.holds))
+        human.append(f"{tag} lhs={_fmt(r.lhs)}  rhs={_fmt(r.rhs)}  "
+                     f"margin={_fmt(r.margin)}  {'holds' if r.holds else 'VIOLATED'}")
         if r.hypothesis_certified is not None:
-            state = ("no counterexample found" if r.hypothesis_certified
-                     else "COUNTEREXAMPLE FOUND")
-            lines.append(f"{'':16s} hypothesis certification: {state}")
-    return lines
+            human.append(f"{'':16s} hypothesis certification: "
+                         f"{_CERTIFICATION[r.hypothesis_certified]}")
+    results = [{"theorem": r.theorem_id.value, "lhs": r.lhs, "rhs": r.rhs,
+                "margin": r.margin, "holds": r.holds, "tol": r.tol,
+                "params": r.params, "hypothesis_certified": r.hypothesis_certified}
+               for r in reports]
+    return header, rows, results, human, all(r.holds for r in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -281,28 +287,16 @@ def _bound_human(reports: list[BoundReport]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_lemma(ns) -> int:
-    _check_format(ns)
-    f = _resolve_surface(ns)
-    rect = _get_rect(ns)
+    f, rect, config = _surface(ns)
     pt = _get_point(ns, rect)
     mode = _get_mode(ns)
     tol = ns.tol if ns.tol is not None else 1e-10
-    if tol < 0:
-        raise UsageError("--tol must be nonnegative")
     ev = lemma_residual(f, rect, pt, mode, QuadConfig())
     ok = ev.residual <= tol
-    skey, sval = _surface_config(ns)
-    config = {skey: sval, "rect": ns.rect or "0,1,0,1",
-              "point": ns.point or f"{pt.x},{pt.y}", "mode": mode.value,
-              "tol": tol}
+    config.update(point=ns.point or f"{pt.x},{pt.y}", mode=mode.value, tol=tol)
     results = [{"lhs": ev.lhs, "rhs": ev.rhs, "residual": ev.residual,
                 "exact_arithmetic": ev.exact, "corner_term": ev.a_term,
                 "quadrant_terms": list(ev.quadrant_terms)}]
-    summary = {"residual": ev.residual, "tol": tol, "ok": ok}
-    notes = [_NOTE_NORMALIZATION] if mode is NormalizationMode.VERBATIM else []
-    report = build_report(__version__, "lemma", config, results, summary, notes)
-    header = ["lhs", "rhs", "residual", "exact_arithmetic"]
-    rows = [(ev.lhs, ev.rhs, ev.residual, ev.exact)]
     human = [
         f"{f.name} on {_rect_str(rect)} at ({_fmt(pt.x)}, {_fmt(pt.y)}), "
         f"{mode.value} normalization",
@@ -312,166 +306,97 @@ def cmd_lemma(ns) -> int:
         + ("  (rational arithmetic)" if ev.exact else ""),
         "identity holds" if ok else f"residual exceeds tolerance {_fmt(tol)}",
     ]
-    _emit(ns, report, header, rows, human)
-    return 0 if ok else 1
-
-
-def _one_bound(theorem: str, f, rect, pt, s, q, mode, cmode, cfg,
-               certified: bool | None) -> BoundReport:
-    family = _FAMILY_OF[theorem[:2]]
-    part = theorem[3:]
-    if theorem in _POINT_FAMILIES:
-        rep = family_report(family, f, rect, pt, s, q, cmode, mode, cfg)
-    elif part == "mid" or (family is not TheoremId.T1 and part == "5"):
-        rep = midpoint_report(family, f, rect, s, q, mode, cmode, cfg)
-    else:
-        rep = corner_report(family, _CORNER_FOR_PART[part], f, rect, s, q,
-                            mode, cmode, cfg)
-    return rep if certified is None else dataclasses.replace(rep, hypothesis_certified=certified)
+    return _emit(ns, "lemma", config, results,
+                 {"residual": ev.residual, "tol": tol, "ok": ok}, _notes(mode),
+                 ["lhs", "rhs", "residual", "exact_arithmetic"],
+                 [(ev.lhs, ev.rhs, ev.residual, ev.exact)], human, ok)
 
 
 def cmd_bound(ns) -> int:
-    _check_format(ns)
-    f = _resolve_surface(ns)
-    rect = _get_rect(ns)
+    f, rect, config = _surface(ns)
     mode = _get_mode(ns)
     s = _get_single_s(ns)
-    theorem = (ns.theorem or "t1").lower()
-    _check_choice("--theorem", theorem, _BOUND_THEOREMS)
-    if theorem == "mid":
-        theorem = "c1_mid"
-    constant_txt = ns.t3_constant or "verbatim"
-    _check_choice("--t3-constant", constant_txt, ("verbatim", "sharpened", "both"))
-    is_t3_family = theorem == "t3" or theorem.startswith("c3")
-    needs_q = theorem in ("t2", "t3") or theorem.startswith(("c2", "c3"))
-    if needs_q and ns.q is None:
-        raise UsageError(f"the {theorem} bound needs --q")
-    if constant_txt == "both":
-        cmodes = [PrefactorMode.VERBATIM, PrefactorMode.SHARPENED]
-    else:
-        cmodes = [_CONSTANTS[constant_txt]]
-    pt = _get_point(ns, rect)
-    certify = bool(ns.certify)
-    sampler = _sampler(ns)
-    cfg = QuadConfig()
-    loop = cmodes if is_t3_family else [PrefactorMode.VERBATIM]
-    certified = None
-    if certify:
-        family = _FAMILY_OF[theorem[:2]]
-        family_rhs(family, s, ns.q)  # checks s and q before any sampling
-        power = 1.0 if family is TheoremId.T1 else float(ns.q)
-        certified = _certify_abs_mixed(f, rect, s, power, sampler)
-    reports = [_one_bound(theorem, f, rect, pt, s, ns.q, mode, cm, cfg, certified)
-               for cm in loop]
-    reports = _apply_tol(reports, ns.tol)
-    skey, sval = _surface_config(ns)
-    config = {skey: sval, "rect": ns.rect or "0,1,0,1", "theorem": theorem,
-              "s": ns.s or "1", "mode": mode.value}
-    if needs_q:
+    text = (ns.theorem or "t1").lower()
+    _check_choice("--theorem", text, _THEOREMS)
+    tid = TheoremId("c1_mid" if text == "mid" else text)
+    family = _POINT_IDS[tid][0]
+    config.update(theorem=tid.value, s=ns.s or "1", mode=mode.value)
+    if family is not TheoremId.T1:
+        if ns.q is None:
+            raise UsageError(f"the {tid.value} bound needs --q")
         config["q"] = ns.q
-    if is_t3_family:
-        config["t3-constant"] = constant_txt
-    if certify:
-        config["certify"] = True
-        config["seed"] = sampler.seed
-    all_hold = all(r.holds for r in reports)
-    summary = {"all_hold": all_hold,
-               "worst_margin": min(r.margin for r in reports)}
-    notes = []
-    if is_t3_family:
-        notes.append(_NOTE_T3_CONSTANT)
-    if mode is NormalizationMode.VERBATIM:
-        notes.append(_NOTE_NORMALIZATION)
-    report = build_report(__version__, "bound", config,
-                          [_report_dict(r) for r in reports], summary, notes)
-    header, rows = _bound_rows(reports)
-    _emit(ns, report, header, rows, _bound_human(reports))
-    return 0 if all_hold else 1
+    cmodes = _t3_constants(ns, config, family is TheoremId.T3, both=True)
+    pt = _get_point(ns, rect)
+    sampler = _sampler(ns, config)
+    # one certification serves every constant mode
+    certified = _certify_family(family, f, rect, s, ns.q, sampler) if ns.certify else None
+    reports = [_point_report(tid, f, rect, pt, s, ns.q, cm, mode, QuadConfig(), certified)
+               for cm in cmodes]
+    header, rows, results, human, all_hold = _bound_table("theorem", reports, ns.tol)
+    summary = {"all_hold": all_hold, "worst_margin": min(r.margin for r in reports)}
+    return _emit(ns, "bound", config, results, summary,
+                 _notes(mode, family is TheoremId.T3), header, rows, human, all_hold)
 
 
 def cmd_chain(ns) -> int:
-    _check_format(ns)
-    f = _resolve_surface(ns)
-    rect = _get_rect(ns)
+    f, rect, config = _surface(ns)
     s = _get_single_s(ns)
-    certify = bool(ns.certify)
-    sampler = _sampler(ns)
-    ev = chain_evaluate(f, rect, s, DEEP, certify, sampler)
     tol = ns.tol if ns.tol is not None else CHAIN_TOL
+    config.update(s=ns.s or "1", tol=tol)
+    ev = chain_evaluate(f, rect, s, DEEP, bool(ns.certify), _sampler(ns, config))
     gaps = [ev.values[i + 1] - ev.values[i] for i in range(4)]
     monotone = all(g >= -tol for g in gaps)
     labels = ("scaled midpoint value", "scaled mid-section means", "area mean",
               "edge-mean combination", "scaled corner sum")
-    results = [{"term": f"e{i}", "label": labels[i], "value": v}
-               for i, v in enumerate(ev.values)]
-    skey, sval = _surface_config(ns)
-    config = {skey: sval, "rect": ns.rect or "0,1,0,1", "s": ns.s or "1",
-              "tol": tol}
-    if certify:
-        config["certify"] = True
-        config["seed"] = sampler.seed
+    rows = [(f"e{i}", labels[i], v) for i, v in enumerate(ev.values)]
     summary = {"monotone": monotone, "min_gap": min(gaps), "tol": tol,
                "hypothesis_certified": ev.hypothesis_certified}
-    report = build_report(__version__, "chain", config, results, summary, [])
-    header = ["term", "label", "value"]
-    rows = [(f"e{i}", labels[i], v) for i, v in enumerate(ev.values)]
     human = [f"{f.name} on {_rect_str(rect)}, s = {_fmt(s)}"]
-    human += [f"  e{i}  {labels[i]:24s} {_fmt(v)}" for i, v in enumerate(ev.values)]
+    human += [f"  {term}  {label:24s} {_fmt(v)}" for term, label, v in rows]
     human.append("chain is monotone" if monotone
                  else f"chain NOT monotone (min gap {_fmt(min(gaps))})")
     if ev.hypothesis_certified is not None:
-        human.append("hypothesis certification: "
-                     + ("no counterexample found" if ev.hypothesis_certified
-                        else "COUNTEREXAMPLE FOUND"))
-    _emit(ns, report, header, rows, human)
-    return 0 if monotone else 1
+        human.append(f"hypothesis certification: {_CERTIFICATION[ev.hypothesis_certified]}")
+    header = ["term", "label", "value"]
+    return _emit(ns, "chain", config, [dict(zip(header, row)) for row in rows], summary,
+                 [], header, rows, human, monotone)
 
 
 def cmd_scan(ns) -> int:
-    _check_format(ns)
     kind = ns.scan_kind or "gap"
-    _check_choice("--scan-kind", kind, _SCAN_KINDS)
-    f = _resolve_surface(ns)
-    rect = _get_rect(ns)
+    _check_choice("--scan-kind", kind, ("gap", "sweep", "compare"))
+    f, rect, config = _surface(ns)
     mode = _get_mode(ns)
-    constant_txt = ns.t3_constant or "verbatim"
-    _check_choice("--t3-constant", constant_txt, ("verbatim", "sharpened"))
-    cmode = _CONSTANTS[constant_txt]
     tol = ns.tol if ns.tol is not None else BOUND_ABS_TOL
-    if tol < 0:
-        raise UsageError("--tol must be nonnegative")
-    theorem_txt = (ns.theorem or "t1").lower()
-    skey, sval = _surface_config(ns)
-    config = {skey: sval, "rect": ns.rect or "0,1,0,1", "scan-kind": kind,
-              "s": ns.s or "1", "mode": mode.value, "tol": tol}
+    config.update({"scan-kind": kind, "s": ns.s or "1", "mode": mode.value, "tol": tol})
     if ns.q is not None:
         config["q"] = ns.q
-    notes = []
-    if mode is NormalizationMode.VERBATIM:
-        notes.append(_NOTE_NORMALIZATION)
+    theorem = (ns.theorem or "t1").lower()
+    if kind == "compare":
+        _t3_constants(ns, config, False)   # checked only: compare shows both constants
+        family = TheoremId.T3              # which brings the t3 note
+    else:
+        _check_choice("--theorem", theorem, _FAMILIES)
+        family = TheoremId(theorem)
 
     if kind == "gap":
-        _check_choice("--theorem", theorem_txt, tuple(_POINT_FAMILIES))
-        config["theorem"] = theorem_txt
         s = _get_single_s(ns)
         grid_n = ns.grid if ns.grid is not None else 8
-        config["grid"] = grid_n
-        if theorem_txt == "t3":
-            config["t3-constant"] = constant_txt
-            notes.insert(0, _NOTE_T3_CONSTANT)
-        gap = scan_gap(_POINT_FAMILIES[theorem_txt], f, rect, s, ns.q, grid_n,
-                       cmode, mode, QuadConfig())
-        rows = [tuple(r) for r in gap.grid]
+        config.update(theorem=theorem, grid=grid_n)
+        (cmode,) = _t3_constants(ns, config, family is TheoremId.T3)
+        gap = scan_gap(family, f, rect, s, ns.q, grid_n, cmode, mode, QuadConfig())
         header = ["x", "y", "lhs", "rhs", "margin"]
-        results = [{"x": r[0], "y": r[1], "lhs": _jf(r[2]), "rhs": _jf(r[3]),
-                    "margin": _jf(r[4])} for r in rows]
-        violation = ((not math.isnan(gap.min_margin)) and gap.min_margin < -tol)
+        rows = gap.grid.tolist()
+        results = [{"x": x, "y": y, "lhs": _jf(lhs), "rhs": _jf(rhs), "margin": _jf(m)}
+                   for x, y, lhs, rhs, m in rows]
+        violation = (not math.isnan(gap.min_margin)) and gap.min_margin < -tol
+        ok = not violation and not gap.errors
         summary = {"grid_shape": list(gap.grid_shape),
                    "min_margin": _jf(gap.min_margin),
                    "argmin": list(gap.argmin) if gap.argmin else None,
                    "error_cells": len(gap.errors), "violation": violation,
                    "tol": tol}
-        human = [f"{theorem_txt} margin on a {gap.grid_shape[0]}x{gap.grid_shape[1]}"
+        human = [f"{theorem} margin on a {gap.grid_shape[0]}x{gap.grid_shape[1]}"
                  f" lattice over {_rect_str(rect)}, s = {_fmt(s)}"]
         if gap.argmin is not None:
             human.append(f"  min margin {_fmt(gap.min_margin)} at "
@@ -479,69 +404,36 @@ def cmd_scan(ns) -> int:
         if gap.errors:
             human.append(f"  {len(gap.errors)} cells failed to evaluate")
         human.append("no violations" if not violation else "VIOLATION on the lattice")
-        ok = (not violation) and not gap.errors
-        report = build_report(__version__, "scan", config, results, summary, notes)
-        _emit(ns, report, header, rows, human)
-        return 0 if ok else 1
-
-    pt = _get_point(ns, rect)
-    config["point"] = ns.point or f"{pt.x},{pt.y}"
-    if kind == "sweep":
-        _check_choice("--theorem", theorem_txt, tuple(_POINT_FAMILIES))
-        config["theorem"] = theorem_txt
-        if theorem_txt == "t3":
-            config["t3-constant"] = constant_txt
-            notes.insert(0, _NOTE_T3_CONSTANT)
-        s_values = _get_s_list(ns)
-        sweep = sweep_s(_POINT_FAMILIES[theorem_txt], f, rect, pt, s_values,
-                        ns.q, cmode, mode, QuadConfig())
-        reports = _apply_tol(list(sweep.reports), ns.tol)
-        header = ["s", "lhs", "rhs", "margin", "holds"]
-        rows = [(r.params["s"], r.lhs, r.rhs, r.margin, r.holds) for r in reports]
-        all_hold = all(r.holds for r in reports)
-        summary = {"rhs_trend": sweep.rhs_trend, "all_hold": all_hold}
-        human = [f"{theorem_txt} sweep over s = {', '.join(_fmt(v) for v in s_values)}"
-                 f" at ({_fmt(pt.x)}, {_fmt(pt.y)})"]
-        human += [f"  s={_fmt(r.params['s']):8s} lhs={_fmt(r.lhs)}  rhs={_fmt(r.rhs)}"
-                  f"  margin={_fmt(r.margin)}  {'holds' if r.holds else 'VIOLATED'}"
-                  for r in reports]
-        human.append(f"rhs trend: {sweep.rhs_trend}")
-        report = build_report(__version__, "scan", config,
-                              [_report_dict(r) for r in reports], summary, notes)
-        _emit(ns, report, header, rows, human)
-        return 0 if all_hold else 1
-
-    # compare
-    s = _get_single_s(ns)
-    if ns.q is None:
-        raise UsageError("family comparison needs --q")
-    reports = _apply_tol(list(compare_families(f, rect, pt, s, ns.q, mode,
-                                               QuadConfig())), ns.tol)
-    notes.insert(0, _NOTE_T3_CONSTANT)
-    header = ["family", "constant", "lhs", "rhs", "margin", "holds"]
-    rows = [(r.theorem_id.value, r.params.get("constant", ""), r.lhs, r.rhs,
-             r.margin, r.holds) for r in reports]
-    all_hold = all(r.holds for r in reports)
-    tightest = min(reports, key=lambda r: r.rhs)
-    tag = tightest.theorem_id.value + (
-        f"[{tightest.params['constant']}]" if "constant" in tightest.params else "")
-    summary = {"all_hold": all_hold, "tightest_family": tag,
-               "tightest_rhs": tightest.rhs}
-    human = [f"family comparison at ({_fmt(pt.x)}, {_fmt(pt.y)}), "
-             f"s = {_fmt(s)}, q = {_fmt(ns.q)}"]
-    human += _bound_human(reports)
-    human.append(f"tightest: {tag} (rhs {_fmt(tightest.rhs)})")
-    report = build_report(__version__, "scan", config,
-                          [_report_dict(r) for r in reports], summary, notes)
-    _emit(ns, report, header, rows, human)
-    return 0 if all_hold else 1
+    else:
+        pt = _get_point(ns, rect)
+        config["point"] = ns.point or f"{pt.x},{pt.y}"
+        at = f"({_fmt(pt.x)}, {_fmt(pt.y)})"
+        if kind == "sweep":
+            config["theorem"] = theorem
+            (cmode,) = _t3_constants(ns, config, family is TheoremId.T3)
+            s_values = _get_s_list(ns)
+            sweep = sweep_s(family, f, rect, pt, s_values, ns.q, cmode, mode, QuadConfig())
+            header, rows, results, table, ok = _bound_table("s", sweep.reports, ns.tol)
+            summary = {"rhs_trend": sweep.rhs_trend, "all_hold": ok}
+            human = [f"{theorem} sweep over s = {', '.join(_fmt(v) for v in s_values)}"
+                     f" at {at}", *table, f"rhs trend: {sweep.rhs_trend}"]
+        else:
+            s = _get_single_s(ns)
+            if ns.q is None:
+                raise UsageError("family comparison needs --q")
+            reports = compare_families(f, rect, pt, s, ns.q, mode, QuadConfig())
+            header, rows, results, table, ok = _bound_table("family", reports, ns.tol)
+            tightest = min(reports, key=lambda r: r.rhs)
+            summary = {"all_hold": ok, "tightest_family": _tag(tightest),
+                       "tightest_rhs": tightest.rhs}
+            human = [f"family comparison at {at}, s = {_fmt(s)}, q = {_fmt(ns.q)}",
+                     *table, f"tightest: {_tag(tightest)} (rhs {_fmt(tightest.rhs)})"]
+    return _emit(ns, "scan", config, results, summary, _notes(mode, family is TheoremId.T3),
+                 header, rows, human, ok)
 
 
 def cmd_suite(ns) -> int:
-    _check_format(ns)
     include = bool(ns.include_verbatim_identity)
-    if ns.tol is not None and ns.tol < 0:
-        raise UsageError("--tol must be nonnegative")
     checks = run_acceptance_suite(ns.tol, include)
     n_fail = sum(c.status == "FAIL" for c in checks)
     n_typo = sum(c.status == "KNOWN_TYPO" for c in checks)
@@ -555,15 +447,13 @@ def cmd_suite(ns) -> int:
         config["tol"] = ns.tol
     if include:
         config["include-verbatim-identity"] = True
-    results = [dataclasses.asdict(c) for c in checks]
     summary = {"checks": len(checks), "passed": n_pass, "failed": n_fail,
                "known_typo": n_typo, "ok": n_fail == 0}
-    notes = [_NOTE_NORMALIZATION] if include else []
-    report = build_report(__version__, "suite", config, results, summary, notes)
-    header = ["check_id", "status", "description", "detail"]
-    rows = [(c.check_id, c.status, c.description, c.detail) for c in checks]
-    _emit(ns, report, header, rows, human)
-    return 0 if n_fail == 0 else 1
+    return _emit(ns, "suite", config, [dataclasses.asdict(c) for c in checks], summary,
+                 [_NOTE_NORMALIZATION] if include else [],
+                 ["check_id", "status", "description", "detail"],
+                 [(c.check_id, c.status, c.description, c.detail) for c in checks],
+                 human, n_fail == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -596,39 +486,38 @@ def build_parser() -> argparse.ArgumentParser:
     surface.add_argument("--rect", metavar="A,B,C,D",
                          help="rectangle [a,b]x[c,d] (default 0,1,0,1)")
 
-    p = sub.add_parser("lemma", parents=[common, surface],
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--mode", metavar="M",
+                      help="normalization: corrected (default) or verbatim")
+    q = argparse.ArgumentParser(add_help=False)
+    q.add_argument("--q", type=float, metavar="Q", help="exponent for t2/t3 families")
+    certify = argparse.ArgumentParser(add_help=False)
+    certify.add_argument("--certify", action="store_true", default=None,
+                         help="run the randomized hypothesis search first")
+    certify.add_argument("--seed", type=int, metavar="N", help="certification seed")
+
+    p = sub.add_parser("lemma", parents=[common, surface, mode],
                        help="evaluate both sides of the identity at a point")
     p.add_argument("--point", metavar="X,Y", help="evaluation point (default midpoint)")
-    p.add_argument("--mode", metavar="M",
-                   help="normalization: corrected (default) or verbatim")
     p.set_defaults(handler=cmd_lemma)
 
-    p = sub.add_parser("bound", parents=[common, surface],
+    p = sub.add_parser("bound", parents=[common, surface, mode, q, certify],
                        help="check one bound family or specialization")
     p.add_argument("--theorem", metavar="ID",
                    help="t1 | t2 | t3 | c1_1..c1_4 | c1_mid | c2_1..c2_5 | "
                         "c3_1..c3_5 | mid (default t1)")
     p.add_argument("--point", metavar="X,Y", help="evaluation point (default midpoint)")
     p.add_argument("--s", metavar="S", help="convexity exponent in (0, 1] (default 1)")
-    p.add_argument("--q", type=float, metavar="Q", help="exponent for t2/t3 families")
     p.add_argument("--t3-constant", metavar="C", dest="t3_constant",
                    help="verbatim (default), sharpened, or both")
-    p.add_argument("--mode", metavar="M",
-                   help="normalization: corrected (default) or verbatim")
-    p.add_argument("--certify", action="store_true", default=None,
-                   help="run the randomized hypothesis search first")
-    p.add_argument("--seed", type=int, metavar="N", help="certification seed")
     p.set_defaults(handler=cmd_bound)
 
-    p = sub.add_parser("chain", parents=[common, surface],
+    p = sub.add_parser("chain", parents=[common, surface, certify],
                        help="evaluate the five-term mean chain")
     p.add_argument("--s", metavar="S", help="convexity exponent in (0, 1] (default 1)")
-    p.add_argument("--certify", action="store_true", default=None,
-                   help="run the randomized hypothesis search first")
-    p.add_argument("--seed", type=int, metavar="N", help="certification seed")
     p.set_defaults(handler=cmd_chain)
 
-    p = sub.add_parser("scan", parents=[common, surface],
+    p = sub.add_parser("scan", parents=[common, surface, mode, q],
                        help="margin lattice, s sweep, or family comparison")
     p.add_argument("--scan-kind", metavar="K", dest="scan_kind",
                    help="gap (default), sweep, or compare")
@@ -637,13 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluation point for sweep/compare (default midpoint)")
     p.add_argument("--s", metavar="S",
                    help="exponent; sweep accepts a comma list (default 1)")
-    p.add_argument("--q", type=float, metavar="Q", help="exponent for t2/t3 families")
     p.add_argument("--t3-constant", metavar="C", dest="t3_constant",
                    help="verbatim (default) or sharpened")
     p.add_argument("--grid", type=int, metavar="N",
                    help="lattice subdivisions per axis for gap scans (default 8)")
-    p.add_argument("--mode", metavar="M",
-                   help="normalization: corrected (default) or verbatim")
     p.set_defaults(handler=cmd_scan)
 
     p = sub.add_parser("suite", parents=[common],
@@ -671,9 +557,16 @@ def main(argv=None) -> int:
     try:
         if ns.config:
             apply_config(ns, load_config_file(ns.config))
+        if ns.format is not None:
+            _check_choice("--format", ns.format, ("json", "csv"))
+        if ns.tol is not None and ns.tol < 0:
+            raise UsageError("--tol must be nonnegative")
         # every non-finite value already becomes an EvalError where it is
-        # computed, so numpy's own warnings would only repeat it on stderr
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # computed, so numpy's own warnings would only repeat it on stderr;
+        # a failed certification is in the report, so its warning would too
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             return ns.handler(ns)
     except ToleranceNotMet as exc:
         print(f"error: quadrature did not reach tolerance: {exc}", file=sys.stderr)

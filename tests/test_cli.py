@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from hadamard_rect import bounds, cli
+from hadamard_rect.suite import CheckResult
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -87,6 +88,101 @@ def test_out_to_unwritable_path_is_a_usage_failure(tmp_path):
                   "--out", str(tmp_path / "missing" / "report.json"))
     assert res.returncode == 2
     assert "error:" in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# golden stdout and exit code of every report path
+# ---------------------------------------------------------------------------
+
+GOLDEN = DATA / "cli"
+GAP_ARGS = ("scan", "--catalog", "uv", "--rect", "0,2,0,1", "--grid", "4")
+SWEEP_ARGS = ("scan", "--scan-kind", "sweep", "--catalog", "uv", "--rect", "0,2,0,1",
+              "--s", "0.25,0.5,1")
+COMPARE_ARGS = ("scan", "--scan-kind", "compare", "--catalog", "u2v2", "--s", "0.5",
+                "--q", "2")
+# case -> argv; stdout is cli/<case>.out, the exit code cli/exit_codes.json[case]
+GOLDEN_CASES = {
+    "lemma_exact": ("lemma", "--fn", "u^2*v^2+u*v", "--rect", "0.5,2.5,1,3",
+                    "--point", "1,2"),
+    "lemma_exact_json": ("lemma", "--fn", "u^2*v^2+u*v", "--rect", "0.5,2.5,1,3",
+                         "--format", "json"),
+    "lemma_verbatim": ("lemma", "--catalog", "const", "--rect", "0,2,0,1",
+                       "--mode", "verbatim"),
+    "lemma_verbatim_json": ("lemma", "--catalog", "const", "--rect", "0,2,0,1",
+                            "--mode", "verbatim", "--tol", "0.75", "--format", "json"),
+    "lemma_quadrature_csv": ("lemma", "--fn", "u^2.5*v^2.5", "--rect", "1,2,1,2",
+                             "--format", "csv"),
+    "bound_c1_2_csv": ("bound", "--theorem", "c1_2", "--catalog", "uv",
+                       "--rect", "0,2,0,1", "--format", "csv"),
+    "bound_t3_both": ("bound", "--theorem", "t3", "--catalog", "u2v2", "--q", "2",
+                      "--t3-constant", "both"),
+    "bound_c3_5_verbatim_json": ("bound", "--theorem", "c3_5", "--catalog", "u2v2",
+                                 "--rect", "0,2,0,1", "--s", "0.5", "--q", "2",
+                                 "--mode", "verbatim", "--tol", "1e-9", "--format", "json"),
+    "bound_mid_json": ("bound", "--theorem", "mid", "--catalog", "uv", "--format", "json"),
+    "bound_c2_3_json": ("bound", "--theorem", "c2_3", "--catalog", "u2v2", "--q", "3",
+                        "--point", "0.25,0.75", "--format", "json"),
+    "bound_t2_certify_json": ("bound", "--theorem", "t2", "--catalog", "u2v2", "--q", "2",
+                              "--certify", "--seed", "7", "--format", "json"),
+    "bound_counterexample": ("bound", "--theorem", "t1", "--fn", "u^1.5*v^1.5",
+                             "--certify"),
+    "chain_json": ("chain", "--catalog", "u2v2", "--rect", "0,2,0,1", "--s", "0.5",
+                   "--format", "json"),
+    "chain_csv": ("chain", "--catalog", "uv", "--s", "1", "--format", "csv"),
+    "chain_certify": ("chain", "--catalog", "uv", "--s", "1", "--certify", "--seed", "3"),
+    "chain_counterexample": ("chain", "--fn", "u*v+1-u^2", "--certify"),
+    "scan_gap_json": (*GAP_ARGS, "--format", "json"),
+    "scan_gap_csv": (*GAP_ARGS, "--format", "csv"),
+    "scan_gap": GAP_ARGS,
+    "scan_gap_out": (*GAP_ARGS, "--out", "report.json"),
+    "scan_gap_t3_verbatim_json": ("scan", "--theorem", "t3", "--q", "2",
+                                  "--t3-constant", "sharpened", "--mode", "verbatim",
+                                  "--catalog", "u2v2", "--s", "0.5", "--grid", "2",
+                                  "--format", "json"),
+    "scan_gap_error_cells": ("scan", "--fn", "u^0.5*v^0.5", "--grid", "2"),
+    "scan_gap_error_cells_json": ("scan", "--fn", "u^0.5*v^0.5", "--grid", "2",
+                                  "--format", "json"),
+    "sweep_csv": (*SWEEP_ARGS, "--format", "csv"),
+    "sweep": SWEEP_ARGS,
+    "sweep_t3_json": ("scan", "--scan-kind", "sweep", "--theorem", "t3", "--q", "2",
+                      "--catalog", "u2v2", "--s", "0.5,1", "--tol", "1e-9",
+                      "--format", "json"),
+    "compare_json": (*COMPARE_ARGS, "--format", "json"),
+    "compare": COMPARE_ARGS,
+    "compare_csv": (*COMPARE_ARGS, "--mode", "verbatim", "--format", "csv"),
+    "suite": ("suite", "--include-verbatim-identity"),
+    "suite_json": ("suite", "--tol", "0", "--format", "json"),
+    "suite_csv": ("suite", "--format", "csv"),
+}
+
+
+def fixed_suite(tol_override=None, include_verbatim_identity=False):
+    """Stands in for run_acceptance_suite, which takes about 9 s."""
+    checks = [CheckResult("c1", "identity residuals", "PASS", "worst 5e-12"),
+              CheckResult("c2", "bound battery", "FAIL" if tol_override == 0 else "PASS",
+                          "worst margin -1.8e-15")]
+    if include_verbatim_identity:
+        checks.append(CheckResult("c10", "verbatim normalization", "KNOWN_TYPO",
+                                  "residual 0.5 as predicted"))
+    return checks
+
+
+def run_golden_case(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_acceptance_suite", fixed_suite)
+    code = cli.main(list(GOLDEN_CASES[name]))
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_cli_matches_golden_stdout_and_exit_code(name, tmp_path, monkeypatch, capsys):
+    code, out = run_golden_case(name, tmp_path, monkeypatch, capsys)
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert (code, out) == (codes[name], (GOLDEN / f"{name}.out").read_text())
+    if "--out" in GOLDEN_CASES[name]:
+        assert ((tmp_path / "report.json").read_text()
+                == (GOLDEN / "scan_gap_json.out").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +425,7 @@ def test_config_unknown_key_rejected(tmp_path):
     ("scan", "--catalog", "uv", "--grid", "0"),
     ("chain", "--catalog", "uv", "--s", "0.5,1"),             # one s only
     ("scan", "--catalog", "uv", "--grid", "513"),             # above MAX_GRID
+    ("chain", "--catalog", "uv", "--tol", "-1"),
 ])
 def test_usage_errors_exit_2(args):
     res = run_cli(*args)
@@ -348,10 +445,21 @@ def test_non_finite_values_report_one_error_line_without_numpy_warnings(args):
     assert "Warning" not in res.stderr
 
 
+@pytest.mark.parametrize("args, code", [
+    (("bound", "--theorem", "t1", "--fn", "u^1.5*v^1.5", "--certify"), 0),
+    (("chain", "--fn", "u*v+1-u^2", "--certify"), 1),
+])
+def test_certification_counterexample_is_reported_without_a_warning(args, code):
+    res = run_cli(*args)
+    assert (res.returncode, res.stderr) == (code, "")
+    assert "COUNTEREXAMPLE FOUND" in res.stdout
+
+
 def test_no_subcommand_is_usage_error():
     assert run_cli().returncode == 2
     assert run_cli("--help").returncode == 0
-    assert run_cli("bound", "--help").returncode == 0
+    for command in ("lemma", "bound", "chain", "scan", "suite"):
+        assert run_cli(command, "--help").returncode == 0, command
 
 
 # ---------------------------------------------------------------------------
