@@ -161,6 +161,14 @@ def _surface(ns) -> tuple[Surface, Rect, dict]:
     return f, make_rect(*_split_floats(config["rect"], 4, "--rect")), config
 
 
+def _inapplicable(ns, dest: str, why: str) -> None:
+    """A flag given on the command line that cannot take effect is a usage
+    error; the same key from a config file, which may serve several
+    commands, is ignored."""
+    if dest in ns.given:
+        raise UsageError(f"--{dest} {why}")
+
+
 def _get_point(ns, rect: Rect) -> EvalPoint:
     if ns.point is None:
         return rect.midpoint()
@@ -319,14 +327,17 @@ def cmd_bound(ns) -> int:
     text = (ns.theorem or "t1").lower()
     _check_choice("--theorem", text, _THEOREMS)
     tid = TheoremId("c1_mid" if text == "mid" else text)
-    family = _POINT_IDS[tid][0]
+    family, where = _POINT_IDS[tid]
+    if where is not None:
+        _inapplicable(ns, "point", f"does not apply to {tid.value}, which is evaluated at "
+                      + ("the midpoint" if where == "mid" else "a corner"))
     config.update(theorem=tid.value, s=ns.s or "1", mode=mode.value)
     if family is not TheoremId.T1:
         if ns.q is None:
             raise UsageError(f"the {tid.value} bound needs --q")
         config["q"] = ns.q
     cmodes = _t3_constants(ns, config, family is TheoremId.T3, both=True)
-    pt = _get_point(ns, rect)
+    pt = _get_point(ns, rect) if where is None else None    # _point_report places it
     sampler = _sampler(ns, config)
     # one certification serves every constant mode
     certified = _certify_family(family, f, rect, s, ns.q, sampler) if ns.certify else None
@@ -380,6 +391,7 @@ def cmd_scan(ns) -> int:
         family = TheoremId(theorem)
 
     if kind == "gap":
+        _inapplicable(ns, "point", "does not apply to a gap scan, which covers the lattice")
         s = _get_single_s(ns)
         grid_n = ns.grid if ns.grid is not None else 8
         config.update(theorem=theorem, grid=grid_n)
@@ -405,6 +417,7 @@ def cmd_scan(ns) -> int:
             human.append(f"  {len(gap.errors)} cells failed to evaluate")
         human.append("no violations" if not violation else "VIOLATION on the lattice")
     else:
+        _inapplicable(ns, "grid", "applies only to gap scans")
         pt = _get_point(ns, rect)
         config["point"] = ns.point or f"{pt.x},{pt.y}"
         at = f"({_fmt(pt.x)}, {_fmt(pt.y)})"
@@ -555,6 +568,7 @@ def main(argv=None) -> int:
             return code
         return 0 if code is None else 2
     try:
+        ns.given = {dest for dest, value in vars(ns).items() if value is not None}
         if ns.config:
             apply_config(ns, load_config_file(ns.config))
         if ns.format is not None:

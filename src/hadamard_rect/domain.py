@@ -20,10 +20,6 @@ class BadExponent(ValueError):
     """Parameter outside its legal range (s, q, or a Holder pair)."""
 
 
-# corner tags in the canonical enumeration order
-CORNER_ORDER = ("ac", "ad", "bc", "bd")
-
-
 class NormalizationMode(Enum):
     """How the corner term of the identity is normalized.
 

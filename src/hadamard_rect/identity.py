@@ -13,8 +13,8 @@ where A is the bilinear corner combination
       + (b-x)(y-c) f(b,c) + (b-x)(d-y) f(b,d)
 
 and each quadrant q in the canonical order (a,c), (a,d), (b,c), (b,d)
-carries weight w_q ((x-a)^2(y-c)^2 and so on), kernel k_q built from
-(t-1), (1-t), (l-1), (1-l), and the affine map onto that quadrant.
+carries weight w_q ((x-a)^2(y-c)^2 and so on), kernel k_q = sign_q (1-t)(1-l)
+with sign_q = +1, -1, -1, +1, and the affine map onto that quadrant.
 
 VERBATIM mode divides A by the area. That version only coincides with the
 corrected one on unit-area rectangles; for constant surfaces its residual
@@ -44,25 +44,12 @@ from .surfaces import Poly2, Surface
 __all__ = [
     "LemmaEvaluation", "ExactLemmaEvaluation", "corner_term_A", "lemma_lhs",
     "lemma_lhs_at", "lemma_rhs", "lemma_residual", "lemma_residual_exact",
-    "QUADRANTS",
 ]
 
 _UNIT = Rect(0.0, 1.0, 0.0, 1.0)
 
-# one entry per quadrant, canonical corner order; each record is
-# (corner tag, kernel as float fn, kernel as Poly2 in (t, l), which rect
-# corner the affine map pulls toward)
-_K_AC = Poly2.from_dict({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})   # (t-1)(l-1)
-_K_AD = Poly2.from_dict({(0, 0): -1, (1, 0): 1, (0, 1): 1, (1, 1): -1})   # (t-1)(1-l)
-_K_BC = Poly2.from_dict({(0, 0): -1, (1, 0): 1, (0, 1): 1, (1, 1): -1})   # (1-t)(l-1)
-_K_BD = Poly2.from_dict({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})   # (1-t)(1-l)
-
-QUADRANTS = (
-    ("ac", lambda t, l: (t - 1.0) * (l - 1.0), _K_AC),
-    ("ad", lambda t, l: (t - 1.0) * (1.0 - l), _K_AD),
-    ("bc", lambda t, l: (1.0 - t) * (l - 1.0), _K_BC),
-    ("bd", lambda t, l: (1.0 - t) * (1.0 - l), _K_BD),
-)
+# every quadrant's kernel is its sign times this, as a Poly2 in (t, l)
+_KERNEL = Poly2.from_dict({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})   # (1-t)(1-l)
 
 
 @dataclass(frozen=True)
@@ -94,16 +81,14 @@ def _check_point(rect: Rect, pt: EvalPoint):
                          f"[{rect.a},{rect.b}]x[{rect.c},{rect.d}]")
 
 
-def _quadrant_geometry(rect: Rect, pt: EvalPoint):
-    """(weight, u-corner, v-corner) per quadrant in canonical order."""
-    a, b, c, d = rect.a, rect.b, rect.c, rect.d
-    x, y = pt.x, pt.y
-    return (
-        ((x - a) ** 2 * (y - c) ** 2, a, c),
-        ((x - a) ** 2 * (d - y) ** 2, a, d),
-        ((b - x) ** 2 * (y - c) ** 2, b, c),
-        ((b - x) ** 2 * (d - y) ** 2, b, d),
-    )
+def _quadrants(r, x, y):
+    """(kernel sign, weight, u-corner, v-corner) per quadrant in canonical
+    order; r = (a, b, c, d). Floats or rationals throughout."""
+    a, b, c, d = r
+    return ((1, (x - a) ** 2 * (y - c) ** 2, a, c),
+            (-1, (x - a) ** 2 * (d - y) ** 2, a, d),
+            (-1, (b - x) ** 2 * (y - c) ** 2, b, c),
+            (1, (b - x) ** 2 * (d - y) ** 2, b, d))
 
 
 def _corner_sum(r, x, y, fc, mode: NormalizationMode):
@@ -213,34 +198,37 @@ def lemma_lhs(f: Surface, rect: Rect, pt: EvalPoint,
     return lemma_lhs_at(f, rect, mode, cfg, use_exact)(pt)
 
 
-def _rhs_terms(f: Surface, rect: Rect, pt: EvalPoint, cfg: QuadConfig,
-               use_exact: bool) -> tuple[tuple[float, float, float, float], bool]:
-    if use_exact and f.poly is not None:
-        exact = _exact_rhs_terms(f.poly, rect, pt)
-        return tuple(float(t) for t in exact), True
+def _rhs_terms(f: Surface, rect: Rect, pt: EvalPoint,
+               cfg: QuadConfig) -> tuple[float, float, float, float]:
+    """The quadrant terms by Gauss-Legendre; zero-weight quadrants are skipped."""
     area = rect.area
     x, y = pt.x, pt.y
     terms = []
-    for (_, kernel, _), (weight, uc, vc) in zip(QUADRANTS, _quadrant_geometry(rect, pt)):
+    for sign, weight, uc, vc in _quadrants((rect.a, rect.b, rect.c, rect.d), x, y):
         if weight == 0.0:
             terms.append(0.0)
             continue
 
-        def integrand(t, l, uc=uc, vc=vc, kernel=kernel):
+        def integrand(t, l, sign=sign, uc=uc, vc=vc):
             u = uc + t * (x - uc)
             v = vc + l * (y - vc)
-            return kernel(t, l) * f.mixed_partial(u, v)
+            return sign * (1.0 - t) * (1.0 - l) * f.mixed_partial(u, v)
 
         terms.append(weight / area * integrate_2d(integrand, _UNIT, cfg).value)
-    return tuple(terms), False
+    return tuple(terms)
 
 
 def lemma_rhs(f: Surface, rect: Rect, pt: EvalPoint,
               cfg: QuadConfig = QuadConfig(), use_exact: bool = True) -> float:
-    """Kernel-weighted mixed-partial side; quadrants with zero weight are skipped."""
+    """Kernel-weighted mixed-partial side; quadrants with zero weight are skipped.
+
+    On polynomial surfaces (unless use_exact is off) this is the rational
+    sum rounded once, so it equals lemma_residual's rhs.
+    """
     _check_point(rect, pt)
-    terms, _ = _rhs_terms(f, rect, pt, cfg, use_exact)
-    return sum(terms)
+    if use_exact and f.poly is not None:
+        return float(sum(_exact_rhs_terms(f.poly, rect.exact(), *pt.exact()), Fraction(0)))
+    return sum(_rhs_terms(f, rect, pt, cfg))
 
 
 def lemma_residual(f: Surface, rect: Rect, pt: EvalPoint,
@@ -259,7 +247,7 @@ def lemma_residual(f: Surface, rect: Rect, pt: EvalPoint,
             mode=mode, a_term=float(ex.a_term),
             quadrant_terms=tuple(float(t) for t in ex.quadrant_terms), exact=True)
     lhs = lemma_lhs(f, rect, pt, mode, cfg, use_exact=False)
-    terms, _ = _rhs_terms(f, rect, pt, cfg, use_exact=False)
+    terms = _rhs_terms(f, rect, pt, cfg)
     rhs = sum(terms)
     return LemmaEvaluation(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs), mode=mode,
                            a_term=corner_term_A(f, rect, pt, mode),
@@ -269,12 +257,6 @@ def lemma_residual(f: Surface, rect: Rect, pt: EvalPoint,
 # ---------------------------------------------------------------------------
 # rational path
 # ---------------------------------------------------------------------------
-
-def _exact_geometry(rect: Rect, pt: EvalPoint):
-    a, b, c, d = rect.exact()
-    x, y = pt.exact()
-    return a, b, c, d, x, y
-
 
 def _exact_parts(p: Poly2, rect: Rect):
     """Corner values, edge integrals and area integral of p over rect, in
@@ -288,24 +270,19 @@ def _exact_parts(p: Poly2, rect: Rect):
     return fc, edges, poly_integral_exact(p, rect)
 
 
-def _exact_rhs_terms(p: Poly2, rect: Rect, pt: EvalPoint) -> tuple[Fraction, ...]:
-    a, b, c, d, x, y = _exact_geometry(rect, pt)
+def _exact_rhs_terms(p: Poly2, r, x: Fraction, y: Fraction) -> tuple[Fraction, ...]:
+    """The quadrant terms of p at (x, y) in rational arithmetic; r = (a, b, c, d)."""
+    a, b, c, d = r
     area = (b - a) * (d - c)
     mixed = p.mixed_partial_poly()
-    geo = (
-        ((x - a) ** 2 * (y - c) ** 2, a, c),
-        ((x - a) ** 2 * (d - y) ** 2, a, d),
-        ((b - x) ** 2 * (y - c) ** 2, b, c),
-        ((b - x) ** 2 * (d - y) ** 2, b, d),
-    )
     terms = []
-    for (_, _, kpoly), (weight, uc, vc) in zip(QUADRANTS, geo):
+    for sign, weight, uc, vc in _quadrants(r, x, y):
         if weight == 0:
             terms.append(Fraction(0))
             continue
         composed = mixed.compose_affine(uc, x - uc, vc, y - vc)
-        integ = poly_integral_exact(kpoly.mul(composed), _UNIT)
-        terms.append(weight / area * integ)
+        integ = poly_integral_exact(_KERNEL.mul(composed), _UNIT)
+        terms.append(sign * weight / area * integ)
     return tuple(terms)
 
 
@@ -320,7 +297,7 @@ def lemma_residual_exact(f: Surface, rect: Rect, pt: EvalPoint,
     parts = _exact_parts(f.poly, rect)
     a_num = _corner_sum(r, x, y, parts[0], mode)
     lhs = _lhs_combination(r, x, y, *parts, mode)
-    terms = _exact_rhs_terms(f.poly, rect, pt)
+    terms = _exact_rhs_terms(f.poly, r, x, y)
     rhs = sum(terms, Fraction(0))
     return ExactLemmaEvaluation(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
                                 mode=mode, a_term=a_num, quadrant_terms=terms)

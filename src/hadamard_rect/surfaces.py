@@ -222,11 +222,16 @@ class Surface:
     """
 
     name: str
-    kind: SurfaceKind
     fn: Callable
     mixed_fn: Callable | None = None
     poly: Poly2 | None = None
-    expr: str | None = None
+
+    @property
+    def kind(self) -> SurfaceKind:
+        """Read off poly and mixed_fn, so it cannot disagree with them."""
+        if self.poly is not None:
+            return SurfaceKind.POLYNOMIAL
+        return SurfaceKind.NUMERIC_ONLY if self.mixed_fn is None else SurfaceKind.POWER_PRODUCT
 
     def __call__(self, u, v):
         out = self.fn(u, v)
@@ -256,8 +261,7 @@ class Surface:
 
 def poly_surface(poly: Poly2, name: str = "poly") -> Surface:
     mixed = poly.mixed_partial_poly()
-    return Surface(name=name, kind=SurfaceKind.POLYNOMIAL, fn=poly,
-                   mixed_fn=mixed, poly=poly)
+    return Surface(name=name, fn=poly, mixed_fn=mixed, poly=poly)
 
 
 def const_surface(k: float = 1.0, name: str | None = None) -> Surface:
@@ -288,7 +292,7 @@ def power_surface(terms: list[tuple[float, float, float]], name: str = "power") 
             acc = acc + c * np.power(u, al) * np.power(v, be)
         return acc if acc.shape else float(acc)
 
-    return Surface(name=name, kind=SurfaceKind.POWER_PRODUCT, fn=fn, mixed_fn=mixed)
+    return Surface(name=name, fn=fn, mixed_fn=mixed)
 
 
 def scaled(surf: Surface, alpha: float) -> Surface:
@@ -296,8 +300,7 @@ def scaled(surf: Surface, alpha: float) -> Surface:
     poly = surf.poly.scale(Fraction(alpha)) if surf.poly is not None else None
     fn = lambda u, v: alpha * surf.fn(u, v)
     mixed = None if surf.mixed_fn is None else (lambda u, v: alpha * surf.mixed_fn(u, v))
-    return Surface(name=f"{alpha:g}*{surf.name}", kind=surf.kind, fn=fn,
-                   mixed_fn=mixed, poly=poly, expr=None)
+    return Surface(name=f"{alpha:g}*{surf.name}", fn=fn, mixed_fn=mixed, poly=poly)
 
 
 # ---------------------------------------------------------------------------
@@ -495,20 +498,17 @@ def parse_surface(text: str, name: str | None = None) -> Surface:
         max_deg = max((max(al, be) for (al, be) in mono), default=Fraction(0))
         if all_integer and max_deg <= MAX_POLY_DEGREE:
             poly = Poly2.from_dict({(int(al), int(be)): cv for (al, be), cv in mono.items()})
-            return Surface(name=label, kind=SurfaceKind.POLYNOMIAL, fn=poly,
-                           mixed_fn=poly.mixed_partial_poly(), poly=poly, expr=text)
-        surf = power_surface(
+            # not poly_surface: a wrapper around both would wrap this one twice
+            return Surface(name=label, fn=poly, mixed_fn=poly.mixed_partial_poly(), poly=poly)
+        return power_surface(
             [(float(cv), float(al), float(be)) for (al, be), cv in mono.items()],
             name=label,
         )
-        return Surface(name=label, kind=surf.kind, fn=surf.fn,
-                       mixed_fn=surf.mixed_fn, expr=text)
 
     def fn(u, v):
         return _ast_eval(ast, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
-    return Surface(name=label, kind=SurfaceKind.NUMERIC_ONLY, fn=fn,
-                   mixed_fn=None, expr=text)
+    return Surface(name=label, fn=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -573,12 +573,12 @@ class Verdict(Enum):
 @dataclass(frozen=True)
 class SamplerConfig:
     seed: int = 20260816
-    n_pairs: int = 660               # pairs for a single 1d call
-    n_sections: int = 22             # sections per orientation (2d call)
-    pairs_per_section: int = 15
-    violation_tol: float = 1e-9
 
 
+_N_PAIRS = 660                 # pairs for a single 1d call
+_N_SECTIONS = 22               # sections per orientation (2d call)
+_PAIRS_PER_SECTION = 15
+_VIOLATION_TOL = 1e-9
 _LAMBDA_GRID = np.arange(1, 16) / 16.0
 
 
@@ -649,8 +649,8 @@ def certify_s_convex_second_sense(g, s: float, lo: float, hi: float,
     if lo < 0:
         raise DomainNotNonnegative(f"s-convexity in the second sense lives on [0, inf), got lo={lo}")
     rng = np.random.default_rng(config.seed)
-    xs = rng.uniform(lo, hi, size=(1, config.n_pairs, 2))
-    witness, used = _scan_sections(g, s, xs, config.violation_tol, (None,))
+    xs = rng.uniform(lo, hi, size=(1, _N_PAIRS, 2))
+    witness, used = _scan_sections(g, s, xs, _VIOLATION_TOL, (None,))
     verdict = Verdict.COUNTEREXAMPLE if witness else Verdict.NO_COUNTEREXAMPLE_FOUND
     return CertificationReport(verdict, witness, used, config.seed, s)
 
@@ -666,7 +666,7 @@ def certify_coordinated(f, rect: Rect, s: float,
         raise DomainNotNonnegative(
             f"coordinated s-convexity lives on [0, inf)^2, got rect [{rect.a},{rect.b}]x[{rect.c},{rect.d}]")
     rng = np.random.default_rng(config.seed)
-    n, m = config.n_sections, config.pairs_per_section
+    n, m = _N_SECTIONS, _PAIRS_PER_SECTION
     v_cuts = rng.uniform(rect.c, rect.d, size=n)
     u_cuts = rng.uniform(rect.a, rect.b, size=n)
     used = 0
@@ -677,7 +677,7 @@ def certify_coordinated(f, rect: Rect, s: float,
             held = np.repeat(cuts, x.size // n)
             return f(x, held) if axis == "v" else f(held, x)
 
-        witness, k = _scan_sections(section_fn, s, xs, config.violation_tol,
+        witness, k = _scan_sections(section_fn, s, xs, _VIOLATION_TOL,
                                     [(axis, float(c)) for c in cuts])
         used += k
         if witness:
@@ -685,7 +685,7 @@ def certify_coordinated(f, rect: Rect, s: float,
     return CertificationReport(Verdict.NO_COUNTEREXAMPLE_FOUND, None, used, config.seed, s)
 
 
-def replay_witness(g, s: float, witness: Witness, tol: float = 1e-9) -> float:
+def replay_witness(g, s: float, witness: Witness) -> float:
     """Recompute a witness's violation slack against a 1d section function."""
     if witness.kind == "negative_value":
         return -float(g(witness.x1))

@@ -121,7 +121,7 @@ GOLDEN_CASES = {
                                  "--mode", "verbatim", "--tol", "1e-9", "--format", "json"),
     "bound_mid_json": ("bound", "--theorem", "mid", "--catalog", "uv", "--format", "json"),
     "bound_c2_3_json": ("bound", "--theorem", "c2_3", "--catalog", "u2v2", "--q", "3",
-                        "--point", "0.25,0.75", "--format", "json"),
+                        "--format", "json"),
     "bound_t2_certify_json": ("bound", "--theorem", "t2", "--catalog", "u2v2", "--q", "2",
                               "--certify", "--seed", "7", "--format", "json"),
     "bound_counterexample": ("bound", "--theorem", "t1", "--fn", "u^1.5*v^1.5",
@@ -414,6 +414,16 @@ def test_config_unknown_key_rejected(tmp_path):
 # usage errors
 # ---------------------------------------------------------------------------
 
+# flags that cannot take effect
+INAPPLICABLE_FLAGS = [
+    ("bound", "--theorem", "c1_2", "--catalog", "uv", "--point", "5,5"),
+    ("bound", "--theorem", "mid", "--catalog", "uv", "--point", "5,5"),
+    ("scan", "--scan-kind", "gap", "--catalog", "uv", "--point", "5,5"),
+    ("scan", "--scan-kind", "sweep", "--catalog", "uv", "--grid", "4"),
+    ("scan", "--scan-kind", "compare", "--catalog", "uv", "--q", "2", "--grid", "4"),
+]
+
+
 @pytest.mark.parametrize("args", [
     ("lemma", "--catalog", "uv", "--rect", "0,0,0,1"),
     ("lemma", "--catalog", "nope"),
@@ -426,10 +436,37 @@ def test_config_unknown_key_rejected(tmp_path):
     ("chain", "--catalog", "uv", "--s", "0.5,1"),             # one s only
     ("scan", "--catalog", "uv", "--grid", "513"),             # above MAX_GRID
     ("chain", "--catalog", "uv", "--tol", "-1"),
+    *INAPPLICABLE_FLAGS,
 ])
 def test_usage_errors_exit_2(args):
     res = run_cli(*args)
     assert res.returncode == 2, res.stderr
+
+
+@pytest.mark.parametrize("args", INAPPLICABLE_FLAGS)
+def test_flag_that_cannot_take_effect_is_one_error_line(args, capsys):
+    assert cli.main(list(args)) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {args[-2]} ") and out.err.count("\n") == 1, out.err
+
+
+@pytest.mark.parametrize("args, key", [
+    (("bound", "--theorem", "c1_2", "--catalog", "uv"), "point = junk"),
+    (("bound", "--theorem", "mid", "--catalog", "uv"), "point = 5,5"),
+    (("scan", "--scan-kind", "gap", "--catalog", "uv", "--grid", "2"), "point = 5,5"),
+    (("scan", "--scan-kind", "sweep", "--catalog", "uv", "--s", "0.5,1"), "grid = 4"),
+    (("scan", "--scan-kind", "compare", "--catalog", "uv", "--q", "2"), "grid = 4"),
+])
+def test_config_keys_that_do_not_apply_are_ignored(args, key, tmp_path, monkeypatch, capsys):
+    # one config file may serve several commands
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(key + "\n")
+    plain = cli.main([*args, "--format", "json"]), capsys.readouterr()
+    with_cfg = cli.main([*args, "--format", "json", "--config", str(cfg)]), capsys.readouterr()
+    assert with_cfg == plain
+    assert plain[0] == 0 and plain[1].err == ""
 
 
 @pytest.mark.parametrize("args", [

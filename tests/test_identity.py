@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hadamard_rect.identity import (corner_term_A, lemma_lhs, lemma_lhs_at,
                                     lemma_residual, lemma_residual_exact,
                                     lemma_rhs)
 from hadamard_rect.quad import DEEP
+from hadamard_rect.suite import identity_battery_rects, interior_points, random_poly_battery
 from hadamard_rect.surfaces import catalog_lookup, const_surface, parse_surface
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0)
@@ -146,3 +148,58 @@ def test_point_outside_rect_rejected():
     for use_exact in (True, False):
         with pytest.raises(ValueError, match="outside"):
             lemma_lhs_at(f, WIDE, use_exact=use_exact)(bad)
+
+
+def test_exact_rhs_is_rounded_once():
+    # c1's battery on its last rect: rand19 at (1.75, 0.875) gives
+    # -0.05372260199652778 once rounded, -0.053722601996527786 from four
+    rect = identity_battery_rects()[-1]
+    for f in random_poly_battery()[15:]:
+        for pt in interior_points(rect):
+            assert lemma_rhs(f, rect, pt) == lemma_residual(f, rect, pt).rhs, (f.name, pt)
+
+
+# ---------------------------------------------------------------------------
+# recorded reprs of both paths, errors included; edge points and corners
+# zero out quadrants. Run this file as a script to rewrite the record.
+# ---------------------------------------------------------------------------
+
+IDENTITY_GOLDEN = Path(__file__).parent / "data" / "identity_golden.txt"
+
+
+def _golden_cases():
+    surfaces = (catalog_lookup("u2v2"), random_poly_battery()[7],
+                parse_surface("u^2.5*v^2"))
+    for f in surfaces:
+        for rect in (UNIT, Rect(0.5, 2.5, 1.0, 3.0)):
+            w, h = rect.b - rect.a, rect.d - rect.c
+            points = (("interior", EvalPoint(rect.a + 0.25 * w, rect.c + 0.75 * h)),
+                      ("edge", EvalPoint(rect.a, rect.c + 0.5 * h)),
+                      ("corner", EvalPoint(rect.b, rect.c)),
+                      ("midpoint", rect.midpoint()))
+            for where, pt in points:
+                for mode in NormalizationMode:
+                    yield f"{f.name} {rect} {where} {mode.value}", f, rect, pt, mode
+
+
+def _golden_text() -> str:
+    lines = []
+    for label, f, rect, pt, mode in _golden_cases():
+        for path, run in (
+                ("quad", lambda: lemma_residual(f, rect, pt, mode, use_exact=False)),
+                ("exact", lambda: lemma_residual_exact(f, rect, pt, mode))):
+            try:
+                value = repr(run())
+            except Exception as exc:
+                value = f"{type(exc).__name__}: {exc}"
+            lines.append(f"{label} {path}: {value}")
+    return "\n".join(lines) + "\n"
+
+
+def test_both_paths_match_the_recorded_values():
+    # interior, edge and corner points zero out zero, two and three quadrants
+    assert _golden_text() == IDENTITY_GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    IDENTITY_GOLDEN.write_text(_golden_text())

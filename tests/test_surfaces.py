@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hadamard_rect.domain import Rect
-from hadamard_rect.surfaces import (_LAMBDA_GRID, CertificationReport,
+from hadamard_rect.surfaces import (_LAMBDA_GRID, _N_PAIRS, _N_SECTIONS,
+                                    _PAIRS_PER_SECTION, _VIOLATION_TOL,
+                                    CertificationReport,
                                     DomainNotNonnegative, EvalError,
                                     ParseError, Poly2, SamplerConfig,
                                     SurfaceKind, UnknownSurface, Verdict,
@@ -272,8 +274,8 @@ def reference_certify_s_convex_second_sense(g, s: float, lo: float, hi: float,
                                             config: SamplerConfig = SamplerConfig()
                                             ) -> CertificationReport:
     rng = np.random.default_rng(config.seed)
-    witness, used = _reference_scan_section(g, s, lo, hi, config.n_pairs, rng,
-                                            config.violation_tol, None)
+    witness, used = _reference_scan_section(g, s, lo, hi, _N_PAIRS, rng,
+                                            _VIOLATION_TOL, None)
     verdict = Verdict.COUNTEREXAMPLE if witness else Verdict.NO_COUNTEREXAMPLE_FOUND
     return CertificationReport(verdict, witness, used, config.seed, s)
 
@@ -283,21 +285,21 @@ def reference_certify_coordinated(f, rect: Rect, s: float,
                                   ) -> CertificationReport:
     rng = np.random.default_rng(config.seed)
     used = 0
-    v_cuts = rng.uniform(rect.c, rect.d, size=config.n_sections)
-    u_cuts = rng.uniform(rect.a, rect.b, size=config.n_sections)
+    v_cuts = rng.uniform(rect.c, rect.d, size=_N_SECTIONS)
+    u_cuts = rng.uniform(rect.a, rect.b, size=_N_SECTIONS)
     for v0 in v_cuts:
         witness, n = _reference_scan_section(
             lambda u, v0=v0: f(u, np.full_like(np.asarray(u, float), v0)),
-            s, rect.a, rect.b, config.pairs_per_section, rng,
-            config.violation_tol, ("v", float(v0)))
+            s, rect.a, rect.b, _PAIRS_PER_SECTION, rng,
+            _VIOLATION_TOL, ("v", float(v0)))
         used += n
         if witness:
             return CertificationReport(Verdict.COUNTEREXAMPLE, witness, used, config.seed, s)
     for u0 in u_cuts:
         witness, n = _reference_scan_section(
             lambda v, u0=u0: f(np.full_like(np.asarray(v, float), u0), v),
-            s, rect.c, rect.d, config.pairs_per_section, rng,
-            config.violation_tol, ("u", float(u0)))
+            s, rect.c, rect.d, _PAIRS_PER_SECTION, rng,
+            _VIOLATION_TOL, ("u", float(u0)))
         used += n
         if witness:
             return CertificationReport(Verdict.COUNTEREXAMPLE, witness, used, config.seed, s)
