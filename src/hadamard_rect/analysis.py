@@ -104,6 +104,7 @@ def scan_gap(theorem: TheoremId, f: Surface, rect: Rect, s: float,
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
     if grid_n > MAX_GRID:
         raise ValueError(f"grid_n must be <= {MAX_GRID}, got {grid_n}")
+    mode, constant_mode = NormalizationMode(mode), PrefactorMode(constant_mode)
     rhs_at = family_rhs(theorem, s, q, constant_mode)   # checks s and q first
     on_stencil = family_stencil_rhs(theorem, s, q, constant_mode)
     # the last coordinate is b (d) itself: a + n (b - a) / n can miss it

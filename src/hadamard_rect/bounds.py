@@ -28,6 +28,7 @@ import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -218,16 +219,23 @@ def _quadrant_sum(D: Stencil, rect: Rect, pt: EvalPoint, q: float,
     edge points and its corner: the Holder family weighs them (1, 1, 1, 1),
     the power-mean family (1, s+1, s+1, (s+1)^2)."""
     x, y = pt.x, pt.y
+    area, inv_q = rect.area, 1.0 / q
     dxy = D[1][1] ** q
     acc = 0.0
     for i, wu in ((0, (x - rect.a) ** 2), (2, (rect.b - x) ** 2)):
         for j, wv in ((0, (y - rect.c) ** 2), (2, (rect.d - y) ** 2)):
             inner = (dxy + edge_w * D[1][j] ** q + edge_w * D[i][1] ** q
                      + corner_w * D[i][j] ** q)
-            acc += wu * wv / rect.area * inner ** (1.0 / q)
+            acc += wu * wv / area * inner ** inv_q
     return acc
 
 
+# (theorem, s, q, constant mode) evaluators family_stencil_rhs keeps: every
+# exponent set of a battery
+_FAMILY_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=_FAMILY_MEMO_SIZE)
 def family_stencil_rhs(theorem: TheoremId, s: float, q: float | None = None,
                        constant_mode: PrefactorMode = PrefactorMode.VERBATIM
                        ) -> Callable[[Stencil, Rect, EvalPoint], float]:
@@ -236,7 +244,9 @@ def family_stencil_rhs(theorem: TheoremId, s: float, q: float | None = None,
 
     s and q are checked here, once, so a caller can check them before it
     computes any left side. A lattice scan takes every cell's D from one
-    mixed-partial call on the whole lattice.
+    mixed-partial call on the whole lattice. The last _FAMILY_MEMO_SIZE
+    argument sets keep their evaluator; a bad s or q raises on every call
+    and is not kept.
     """
     if theorem not in _FAMILY_NAMES:
         raise ValueError(f"{theorem} is not a bound family (t1, t2, t3)")
@@ -312,6 +322,7 @@ def _point_report(tid: TheoremId, f: Surface, rect: Rect, pt: EvalPoint | None,
     """Report of any id in _POINT_IDS: a family at pt, or a specialization,
     its family at its corner or at the midpoint (pt is then unused)."""
     family, where = _POINT_IDS[tid]
+    mode, constant_mode = NormalizationMode(mode), PrefactorMode(constant_mode)
     extra = {}
     if where == "mid":
         pt = rect.midpoint()

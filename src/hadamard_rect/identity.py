@@ -28,10 +28,17 @@ the next queries on that (f, rect), and returns the left side as a
 function of the point; lemma_lhs is one call of it.
 
 Polynomial surfaces get a fully rational path: every term above is a
-polynomial integral, so the residual can be shown to vanish exactly.
+polynomial integral, so the residual can be shown to vanish exactly. There
+the remembered entry is, per mode, four integers k00, k10, k01, k11 over
+one integer den, so the left side at x = nx/dx, y = ny/dy is
+
+    (k00 dx dy + k10 nx dy + k01 ny dx + k11 nx ny) / (den dx dy),
+
+one correctly rounded integer division: float() of the rational formula.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,6 +127,7 @@ def corner_term_A(f: Surface, rect: Rect, pt: EvalPoint,
                   mode: NormalizationMode = NormalizationMode.CORRECTED) -> float:
     """The bilinear corner combination, normalized per mode."""
     _check_point(rect, pt)
+    mode = NormalizationMode(mode)
     fc = tuple(f(p.x, p.y) for p in rect.corners())
     return _corner_sum((rect.a, rect.b, rect.c, rect.d), pt.x, pt.y, fc, mode)
 
@@ -144,12 +152,13 @@ class _Same:
 
 @lru_cache(maxsize=_LHS_MEMO_SIZE)
 def _lhs_parts(same: _Same, rect: Rect, cfg: QuadConfig | None):
-    """(rect coordinates, corner values, edge integrals, area integral) of
-    same.f over rect: rational when cfg is None, by Gauss-Legendre under cfg
-    otherwise. Errors propagate and are not remembered."""
+    """The left side of same.f over rect up to the point. When cfg is None,
+    _bilinear_coefficients of its rational parts; under cfg, (rect
+    coordinates, corner values, edge integrals, area integral) by
+    Gauss-Legendre. Errors propagate and are not remembered."""
     f = same.f
     if cfg is None:
-        return (rect.exact(), *_exact_parts(f.poly, rect))
+        return _bilinear_coefficients(rect.exact(), *_exact_parts(f.poly, rect))
     a, b, c, d = r = (rect.a, rect.b, rect.c, rect.d)
     fc = tuple(f(p.x, p.y) for p in rect.corners())
     edges = (integrate_1d(lambda v: f.fn(a, v), c, d, cfg).value,
@@ -171,14 +180,23 @@ def lemma_lhs_at(f: Surface, rect: Rect,
     identity, rect, path) keep them for both modes; EvalError and
     ToleranceNotMet surface here and are not kept. Each call then gives
     lemma_lhs's value bit for bit; a point outside rect raises ValueError.
+    On the rational path a call is one integer division (module docstring).
     """
-    exact = use_exact and f.poly is not None
-    r, fc, edges, whole = _lhs_parts(_Same(f), rect, None if exact else cfg)
+    mode = NormalizationMode(mode)
+    if use_exact and f.poly is not None:
+        k00, k10, k01, k11, den = _lhs_parts(_Same(f), rect, None)[mode]
+
+        def at(pt: EvalPoint) -> float:
+            _check_point(rect, pt)
+            nx, dx = _ratio(pt.x)
+            ny, dy = _ratio(pt.y)
+            return ((k00 * dx + k10 * nx) * dy + (k01 * dx + k11 * nx) * ny) / (den * dx * dy)
+
+        return at
+    r, fc, edges, whole = _lhs_parts(_Same(f), rect, cfg)
 
     def at(pt: EvalPoint) -> float:
         _check_point(rect, pt)
-        if exact:
-            return float(_lhs_combination(r, *pt.exact(), fc, edges, whole, mode))
         return _lhs_combination(r, pt.x, pt.y, fc, edges, whole, mode)
 
     return at
@@ -240,6 +258,7 @@ def lemma_residual(f: Surface, rect: Rect, pt: EvalPoint,
     of rational arithmetic, so a residual of 0.0 means exactly zero.
     """
     _check_point(rect, pt)
+    mode = NormalizationMode(mode)
     if use_exact and f.poly is not None:
         ex = lemma_residual_exact(f, rect, pt, mode)
         return LemmaEvaluation(
@@ -270,6 +289,52 @@ def _exact_parts(p: Poly2, rect: Rect):
     return fc, edges, poly_integral_exact(p, rect)
 
 
+def _bilinear_coefficients(r, fc, edges, whole) -> dict:
+    """_lhs_combination over rationals in integer form: per mode, integers
+    (k00, k10, k01, k11, den) with den > 0 such that the left side at
+    (x, y) is (k00 + k10 x + k01 y + k11 x y) / den.
+
+    Every input is scaled to an integer by the lcm L of their denominators,
+    so no step reduces a fraction; one gcd per mode reduces the result.
+    """
+    values = (*r, *fc, *edges, whole)
+    L = math.lcm(*(v.denominator for v in values))
+    a, b, c, d, f0, f1, f2, f3, ea, eb, ed, ec, w = (
+        v.numerator * (L // v.denominator) for v in values)
+    # the corner sum is g00 + g10 x + g01 y + g11 xy over L^3, L^2, L^2, L;
+    # the edge and area terms h00 + h10 x + h01 y over L^2, L, L
+    g00 = a * c * f0 - a * d * f1 - b * c * f2 + b * d * f3
+    g10 = c * (f2 - f0) + d * (f1 - f3)
+    g01 = a * (f1 - f0) + b * (f2 - f3)
+    g11 = f0 - f1 - f2 + f3
+    h00 = a * ea - b * eb - d * ed + c * ec + w * L
+    h10 = eb - ea
+    h01 = ed - ec
+    area = (b - a) * (d - c)                      # over L^2
+    # corrected: (g + h) / area, times L^3 / L^3; verbatim: (g / area + h)
+    # / area = (g + h area) / area^2, times L^4 / L^4
+    forms = {
+        NormalizationMode.CORRECTED: (g00 + h00 * L, (g10 + h10 * L) * L,
+                                      (g01 + h01 * L) * L, g11 * L * L, area * L),
+        NormalizationMode.VERBATIM: (g00 * L + h00 * area, (g10 * L + h10 * area) * L,
+                                     (g01 * L + h01 * area) * L, g11 * L ** 3, area * area),
+    }
+    out = {}
+    for mode, ks in forms.items():
+        g = math.gcd(*ks)
+        out[mode] = tuple(k // g for k in ks)
+    return out
+
+
+def _ratio(v) -> tuple[int, int]:
+    """v as (numerator, denominator > 0), the rational Fraction(v) reads."""
+    try:
+        return v.as_integer_ratio()
+    except AttributeError:                 # numpy integers, say
+        q = Fraction(v)
+        return q.numerator, q.denominator
+
+
 def _exact_rhs_terms(p: Poly2, r, x: Fraction, y: Fraction) -> tuple[Fraction, ...]:
     """The quadrant terms of p at (x, y) in rational arithmetic; r = (a, b, c, d)."""
     a, b, c, d = r
@@ -292,6 +357,7 @@ def lemma_residual_exact(f: Surface, rect: Rect, pt: EvalPoint,
     if f.poly is None:
         raise ValueError(f"{f.name} has no exact polynomial form")
     _check_point(rect, pt)
+    mode = NormalizationMode(mode)
     r = rect.exact()
     x, y = pt.exact()
     parts = _exact_parts(f.poly, rect)

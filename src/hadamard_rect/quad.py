@@ -284,6 +284,6 @@ def power_mean_prefactor(q: float, mode: PrefactorMode) -> float:
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    if mode is PrefactorMode.SHARPENED:
+    if PrefactorMode(mode) is PrefactorMode.SHARPENED:
         return 2.0 ** (2.0 / q - 2.0)
     return 2.0 ** (2.0 - 2.0 / q)

@@ -220,3 +220,15 @@ def test_scan_lattice_ends_exactly_at_b_and_d(rect, grid_n):
 def test_scan_rejects_grid_above_the_limit():
     with pytest.raises(ValueError, match=str(MAX_GRID)):
         scan_gap(TheoremId.T1, UV, WIDE, 1.0, grid_n=MAX_GRID + 1)
+
+
+def test_scan_reads_string_modes_as_their_members():
+    f = catalog_lookup("u2v2")
+    for mode in NormalizationMode:
+        for cmode in PrefactorMode:
+            by_value = scan_gap(TheoremId.T3, f, WIDE, 0.5, q=2.0, grid_n=4,
+                                constant_mode=cmode.value, mode=mode.value)
+            by_member = scan_gap(TheoremId.T3, f, WIDE, 0.5, q=2.0, grid_n=4,
+                                 constant_mode=cmode, mode=mode)
+            assert by_value.grid.tobytes() == by_member.grid.tobytes()
+            assert by_value.params == by_member.params

@@ -347,3 +347,47 @@ def test_chain_certification_flag():
 def test_chain_rejects_bad_exponent():
     with pytest.raises(Exception):
         chain_evaluate(UV, UNIT, 1.5)
+
+
+# ---------------------------------------------------------------------------
+# a mode given as its string value reads as its member
+# ---------------------------------------------------------------------------
+
+OFF = Rect(0.5, 2.5, 1.0, 3.0)
+
+
+def test_string_constant_mode_reads_as_its_member():
+    pt = EvalPoint(1.0, 2.0)
+    sharp = t3_rhs(U2V2, OFF, pt, 0.5, 2.0, PrefactorMode.SHARPENED)
+    assert t3_rhs(U2V2, OFF, pt, 0.5, 2.0, "sharpened") == sharp
+    # read as the default it would be the verbatim bound, four times looser
+    assert t3_rhs(U2V2, OFF, pt, 0.5, 2.0, "verbatim") == pytest.approx(4.0 * sharp)
+
+
+def test_string_modes_in_reports_read_as_their_members():
+    pt = EvalPoint(1.0, 2.0)
+    for mode in NormalizationMode:
+        assert (t1_report(U2V2, OFF, pt, 0.5, mode=mode.value)
+                == t1_report(U2V2, OFF, pt, 0.5, mode=mode))
+        for cmode in PrefactorMode:
+            assert (t3_report(U2V2, OFF, pt, 0.5, 2.0, cmode.value, mode.value)
+                    == t3_report(U2V2, OFF, pt, 0.5, 2.0, cmode, mode))
+            assert (corner_report(TheoremId.T3, Corner.AD, U2V2, OFF, 0.5, 2.0,
+                                  mode.value, cmode.value)
+                    == corner_report(TheoremId.T3, Corner.AD, U2V2, OFF, 0.5, 2.0,
+                                     mode, cmode))
+            assert (midpoint_report(TheoremId.T3, U2V2, OFF, 0.5, 2.0, mode.value, cmode.value)
+                    == midpoint_report(TheoremId.T3, U2V2, OFF, 0.5, 2.0, mode, cmode))
+    verbatim = t1_report(U2V2, OFF, pt, 0.5, mode="verbatim")
+    assert verbatim.params["mode"] == "verbatim"
+    assert verbatim.lhs != t1_report(U2V2, OFF, pt, 0.5).lhs
+
+
+def test_unknown_mode_value_raises():
+    pt = EvalPoint(1.0, 2.0)
+    with pytest.raises(ValueError, match="is not a valid PrefactorMode"):
+        t3_rhs(U2V2, OFF, pt, 0.5, 2.0, "corrected")
+    with pytest.raises(ValueError, match="is not a valid NormalizationMode"):
+        t1_report(U2V2, OFF, pt, 0.5, mode="sharpened")
+    with pytest.raises(ValueError, match="is not a valid PrefactorMode"):
+        t3_report(U2V2, OFF, pt, 0.5, 2.0, "bogus")

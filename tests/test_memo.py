@@ -1,7 +1,8 @@
-"""The left-side and stencil memos: repeated queries on one (f, rect) or
-one point reuse earlier work and give the values a cold call gives.
+"""The left-side, stencil and family-evaluator memos: repeated queries on
+one (f, rect), one point or one exponent set reuse earlier work and give
+the values a cold call gives.
 
-tests/conftest.py empties both memos before each test.
+tests/conftest.py empties all three memos before each test.
 """
 import dataclasses
 
@@ -23,11 +24,12 @@ POINTS = (EvalPoint(0.5, 1.0), EvalPoint(1.25, 2.5), EvalPoint(2.5, 3.0), OFF.mi
 def _empty_memos():
     identity._lhs_parts.cache_clear()
     bounds._last_stencil = None
+    bounds.family_stencil_rhs.cache_clear()
 
 
 def _values(f, use_exact, cold):
     """Left sides in both modes and three right sides at every point; cold
-    empties both memos before each value."""
+    empties every memo before each value."""
     out = []
     for pt in POINTS:
         for value in (
@@ -105,3 +107,44 @@ def test_two_suite_runs_in_one_process_give_identical_json(capsys):
         assert cli.main(["suite", "--format", "json"]) == 0
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# the family evaluator memo
+# ---------------------------------------------------------------------------
+
+def test_each_family_evaluator_is_built_once_per_key():
+    f = catalog_lookup("u2v2")
+    for pt in POINTS:
+        t1_rhs(f, OFF, pt, 0.5)
+        t2_rhs(f, OFF, pt, 0.5, 3.0)
+        t3_rhs(f, OFF, pt, 0.5, 2.0, PrefactorMode.SHARPENED)
+        t3_rhs(f, OFF, pt, 0.5, 2.0)
+    info = bounds.family_stencil_rhs.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)
+    assert info.hits == 4 * (len(POINTS) - 1)
+    assert (bounds.family_stencil_rhs(bounds.TheoremId.T2, 0.5, 3.0)
+            is bounds.family_stencil_rhs(bounds.TheoremId.T2, 0.5, 3.0))
+
+
+def test_a_bad_exponent_raises_every_time_and_is_never_remembered():
+    f = catalog_lookup("u2v2")
+    pt = POINTS[1]
+    for _ in range(2):
+        for call in (lambda: t1_rhs(f, OFF, pt, 0.0),           # s in (0, 1]
+                     lambda: t2_rhs(f, OFF, pt, 1.5, 2.0),
+                     lambda: t2_rhs(f, OFF, pt, 0.5, 1.0),      # Holder q > 1
+                     lambda: t3_rhs(f, OFF, pt, 0.5, 0.5),      # power mean q >= 1
+                     lambda: t3_rhs(f, OFF, pt, 0.5, 2.0, "bogus")):
+            with pytest.raises(ValueError):
+                call()
+    assert bounds.family_stencil_rhs.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("first,second", [(2, 2.0), (2.0, 2)], ids=["int-first", "float-first"])
+def test_integer_and_float_q_give_equal_right_sides(first, second):
+    f = catalog_lookup("u2.5v2")
+    for pt in POINTS:
+        for mode in PrefactorMode:
+            assert t3_rhs(f, OFF, pt, 0.5, first, mode) == t3_rhs(f, OFF, pt, 0.5, second, mode)
+        assert t2_rhs(f, OFF, pt, 0.5, first) == t2_rhs(f, OFF, pt, 0.5, second)
