@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import EvalPoint, NormalizationMode, PrefactorMode, Rect
-from .identity import lemma_lhs_at
+from .identity import lemma_lhs_at, lemma_lhs_lattice
 from .bounds import (BoundReport, Stencil, TheoremId, family_report, family_rhs,
                      family_stencil_rhs)
 from .quad import QuadConfig, ToleranceNotMet
@@ -96,9 +96,11 @@ def scan_gap(theorem: TheoremId, f: Surface, rect: Rect, s: float,
     """Evaluate margin = rhs - lhs on the (grid_n+1)^2 lattice including the
     boundary. Deterministic: no randomness anywhere in the scan.
 
-    Cost: one left-side evaluator (four edge integrals and one area
-    integral) and one mixed-partial call on the whole lattice, then a few
-    dozen float operations per cell. grid_n is at most MAX_GRID.
+    Cost: one left-side lattice call (four edge integrals and one area
+    integral, then one array expression or one integer division per node)
+    and one mixed-partial call on the whole lattice, then a few dozen
+    float operations per cell. A cell whose left or right side raises
+    EvalError is an error cell. grid_n is at most MAX_GRID.
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
@@ -113,7 +115,7 @@ def scan_gap(theorem: TheoremId, f: Surface, rect: Rect, s: float,
     rows = []
     errors = []
     try:
-        lhs_at = lemma_lhs_at(f, rect, mode, cfg)
+        lhs, lhs_failed = lemma_lhs_lattice(f, rect, xs, ys, mode, cfg)
     except (EvalError, ToleranceNotMet) as exc:
         # the left side's integrals do not depend on the point: every cell fails
         for iy, y in enumerate(ys):
@@ -122,17 +124,17 @@ def scan_gap(theorem: TheoremId, f: Surface, rect: Rect, s: float,
                 rows.append((x, y, np.nan, np.nan, np.nan))
     else:
         rhs_of = _lattice_rhs(on_stencil, rhs_at, f, rect, xs, ys)
-        for iy, y in enumerate(ys):
+        for iy, (y, lhs_row) in enumerate(zip(ys, np.abs(lhs).tolist())):
             for ix, x in enumerate(xs):
-                pt = EvalPoint(x, y)
                 try:
-                    rhs = rhs_of(ix, iy, pt)
+                    if (ix, iy) in lhs_failed:
+                        raise EvalError(lhs_failed[ix, iy])
+                    rhs = rhs_of(ix, iy, EvalPoint(x, y))
                 except EvalError as exc:
                     errors.append((ix, iy, str(exc)))
                     rows.append((x, y, np.nan, np.nan, np.nan))
                     continue
-                lhs = abs(lhs_at(pt))
-                rows.append((x, y, lhs, rhs, rhs - lhs))
+                rows.append((x, y, lhs_row[ix], rhs, rhs - lhs_row[ix]))
     grid = np.array(rows, dtype=float)
     margins = grid[:, 4]
     if np.all(np.isnan(margins)):

@@ -27,7 +27,7 @@ from .domain import (BadExponent, DegenerateRect, EvalPoint, NormalizationMode,
                      PrefactorMode, Rect, make_rect)
 from .identity import lemma_residual
 from .quad import DEEP, QuadConfig, ToleranceNotMet
-from .serialize import build_report, report_to_json, rows_to_csv
+from .serialize import FloatColumns, build_report, report_to_json, rows_to_csv
 from .suite import run_acceptance_suite
 from .surfaces import (DomainNotNonnegative, EvalError, ParseError,
                        SamplerConfig, Surface, UnknownSurface, catalog_lookup,
@@ -398,9 +398,8 @@ def cmd_scan(ns) -> int:
         (cmode,) = _t3_constants(ns, config, family is TheoremId.T3)
         gap = scan_gap(family, f, rect, s, ns.q, grid_n, cmode, mode, QuadConfig())
         header = ["x", "y", "lhs", "rhs", "margin"]
-        rows = gap.grid.tolist()
-        results = [{"x": x, "y": y, "lhs": _jf(lhs), "rhs": _jf(rhs), "margin": _jf(m)}
-                   for x, y, lhs, rhs, m in rows]
+        rows = gap.grid                  # both writers take its columns as they are
+        results = FloatColumns(tuple(header), rows)
         violation = (not math.isnan(gap.min_margin)) and gap.min_margin < -tol
         ok = not violation and not gap.errors
         summary = {"grid_shape": list(gap.grid_shape),

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 
 class DegenerateRect(ValueError):
-    """Rectangle with a >= b or c >= d."""
+    """Rectangle with a >= b or c >= d, or whose width, height or area is
+    not a finite float greater than 0."""
 
 
 class BadExponent(ValueError):
@@ -47,7 +48,9 @@ class PrefactorMode(Enum):
 
 @dataclass(frozen=True)
 class Rect:
-    """Axis-aligned rectangle [a,b] x [c,d] with a < b and c < d."""
+    """Axis-aligned rectangle [a,b] x [c,d] with a < b and c < d, whose
+    width b - a, height d - c and area are finite and greater than 0 as
+    floats, so dividing by any of them is safe."""
 
     a: float
     b: float
@@ -62,6 +65,11 @@ class Rect:
         for val in (self.a, self.b, self.c, self.d):
             if not math.isfinite(val):
                 raise DegenerateRect("rectangle coordinates must be finite")
+        width, height = self.b - self.a, self.d - self.c
+        if not all(0.0 < v < math.inf for v in (width, height, width * height)):
+            raise DegenerateRect(
+                f"width {width}, height {height} and area {width * height} must be "
+                f"finite and greater than 0, got [{self.a},{self.b}]x[{self.c},{self.d}]")
 
     @property
     def area(self) -> float:

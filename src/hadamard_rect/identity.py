@@ -44,13 +44,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .domain import EvalPoint, NormalizationMode, Rect
 from .quad import QuadConfig, integrate_1d, integrate_2d, poly1d_integral_exact, poly_integral_exact
-from .surfaces import Poly2, Surface
+from .surfaces import EvalError, Poly2, Surface
 
 __all__ = [
     "LemmaEvaluation", "ExactLemmaEvaluation", "corner_term_A", "lemma_lhs",
-    "lemma_lhs_at", "lemma_rhs", "lemma_residual", "lemma_residual_exact",
+    "lemma_lhs_at", "lemma_lhs_lattice", "lemma_rhs", "lemma_residual", "lemma_residual_exact",
 ]
 
 _UNIT = Rect(0.0, 1.0, 0.0, 1.0)
@@ -168,6 +170,22 @@ def _lhs_parts(same: _Same, rect: Rect, cfg: QuadConfig | None):
     return r, fc, edges, integrate_2d(f.fn, rect, cfg).value
 
 
+def _overflow(f: Surface, what: str, x, y) -> EvalError:
+    return EvalError(f"{what} of {f.name} overflows a float at ({x}, {y})")
+
+
+def _exact_lhs(f: Surface, ks, x, y) -> float:
+    """The rational left side at (x, y) from its integer form
+    ks = (k00, k10, k01, k11, den), as one integer division."""
+    k00, k10, k01, k11, den = ks
+    nx, dx = _ratio(x)
+    ny, dy = _ratio(y)
+    try:
+        return ((k00 * dx + k10 * nx) * dy + (k01 * dx + k11 * nx) * ny) / (den * dx * dy)
+    except OverflowError:
+        raise _overflow(f, "left side", x, y) from None
+
+
 def lemma_lhs_at(f: Surface, rect: Rect,
                  mode: NormalizationMode = NormalizationMode.CORRECTED,
                  cfg: QuadConfig = QuadConfig(), use_exact: bool = True
@@ -180,17 +198,16 @@ def lemma_lhs_at(f: Surface, rect: Rect,
     identity, rect, path) keep them for both modes; EvalError and
     ToleranceNotMet surface here and are not kept. Each call then gives
     lemma_lhs's value bit for bit; a point outside rect raises ValueError.
-    On the rational path a call is one integer division (module docstring).
+    On the rational path a call is one integer division (module docstring),
+    and a value too large for a float raises EvalError.
     """
     mode = NormalizationMode(mode)
     if use_exact and f.poly is not None:
-        k00, k10, k01, k11, den = _lhs_parts(_Same(f), rect, None)[mode]
+        ks = _lhs_parts(_Same(f), rect, None)[mode]
 
         def at(pt: EvalPoint) -> float:
             _check_point(rect, pt)
-            nx, dx = _ratio(pt.x)
-            ny, dy = _ratio(pt.y)
-            return ((k00 * dx + k10 * nx) * dy + (k01 * dx + k11 * nx) * ny) / (den * dx * dy)
+            return _exact_lhs(f, ks, pt.x, pt.y)
 
         return at
     r, fc, edges, whole = _lhs_parts(_Same(f), rect, cfg)
@@ -200,6 +217,39 @@ def lemma_lhs_at(f: Surface, rect: Rect,
         return _lhs_combination(r, pt.x, pt.y, fc, edges, whole, mode)
 
     return at
+
+
+def lemma_lhs_lattice(f: Surface, rect: Rect, xs, ys,
+                      mode: NormalizationMode = NormalizationMode.CORRECTED,
+                      cfg: QuadConfig = QuadConfig(), use_exact: bool = True):
+    """The signed left-hand side on the lattice xs by ys, whose coordinates
+    lie in rect: a (len(ys), len(xs)) array, y by row and x by column, and
+    {(ix, iy): message} of the nodes where lemma_lhs_at raises EvalError,
+    which hold NaN.
+
+    Every node equals lemma_lhs_at's value bit for bit. The quadrature
+    path is _lhs_combination once on the meshgrid: numpy rounds each
+    element of + - * / as Python rounds a float. The rational path is one
+    integer division per node.
+    """
+    mode = NormalizationMode(mode)
+    _check_point(rect, EvalPoint(min(xs), min(ys)))
+    _check_point(rect, EvalPoint(max(xs), max(ys)))
+    if not (use_exact and f.poly is not None):
+        r, fc, edges, whole = _lhs_parts(_Same(f), rect, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):   # as Python floats are
+            return _lhs_combination(r, *np.meshgrid(xs, ys), fc, edges, whole, mode), {}
+    ks = _lhs_parts(_Same(f), rect, None)[mode]
+    out = np.empty((len(ys), len(xs)))
+    failed = {}
+    for iy, y in enumerate(ys):
+        for ix, x in enumerate(xs):
+            try:
+                out[iy, ix] = _exact_lhs(f, ks, x, y)
+            except EvalError as exc:
+                out[iy, ix] = np.nan
+                failed[ix, iy] = str(exc)
+    return out, failed
 
 
 def lemma_lhs(f: Surface, rect: Rect, pt: EvalPoint,
@@ -261,10 +311,19 @@ def lemma_residual(f: Surface, rect: Rect, pt: EvalPoint,
     mode = NormalizationMode(mode)
     if use_exact and f.poly is not None:
         ex = lemma_residual_exact(f, rect, pt, mode)
+
+        def rounded(value: Fraction, what: str) -> float:
+            try:
+                return float(value)
+            except OverflowError:
+                raise _overflow(f, what, pt.x, pt.y) from None
+
         return LemmaEvaluation(
-            lhs=float(ex.lhs), rhs=float(ex.rhs), residual=float(ex.residual),
-            mode=mode, a_term=float(ex.a_term),
-            quadrant_terms=tuple(float(t) for t in ex.quadrant_terms), exact=True)
+            lhs=rounded(ex.lhs, "left side"), rhs=rounded(ex.rhs, "right side"),
+            residual=rounded(ex.residual, "residual"), mode=mode,
+            a_term=rounded(ex.a_term, "corner term"),
+            quadrant_terms=tuple(rounded(t, "quadrant term") for t in ex.quadrant_terms),
+            exact=True)
     lhs = lemma_lhs(f, rect, pt, mode, cfg, use_exact=False)
     terms = _rhs_terms(f, rect, pt, cfg)
     rhs = sum(terms)

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -486,8 +486,19 @@ def _expand(node) -> dict[tuple[Fraction, Fraction], Fraction] | None:
     raise AssertionError(op)
 
 
+# (text, name) pairs parse_surface keeps: one Surface per expression, so the
+# left-side and stencil memos, which key on the surface, hit across calls
+_PARSE_MEMO_SIZE = 128
+
+
+@lru_cache(maxsize=_PARSE_MEMO_SIZE)
 def parse_surface(text: str, name: str | None = None) -> Surface:
-    """Parse an expression in u and v into the most structured Surface possible."""
+    """Parse an expression in u and v into the most structured Surface possible.
+
+    The last _PARSE_MEMO_SIZE (text, name) pairs keep their Surface, which
+    is frozen and so safe to share; a ParseError is raised again on every
+    call and never kept.
+    """
     ast = _Parser(text).parse()
     label = name or text
     mono = _expand(ast)

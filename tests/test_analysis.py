@@ -168,6 +168,17 @@ def test_scan_errors_equal_the_point_path(expr):
     assert np.array_equal(gap.grid, grid, equal_nan=True)
 
 
+def test_scan_cells_whose_left_side_overflows_equal_the_point_path():
+    # the verbatim left side of u on a 1e-320-high rect overflows a float at
+    # six of the nine nodes: those are error cells, the other three hold
+    f, rect = parse_surface("u"), Rect(0.0, 1.0, 0.0, 1e-320)
+    gap = scan_gap(TheoremId.T1, f, rect, 1.0, grid_n=2, mode="verbatim")
+    grid, errors = point_loop(TheoremId.T1, f, rect, 1.0, None, 2, NormalizationMode.VERBATIM)
+    assert len(gap.errors) == 6 and "left side of u overflows a float" in gap.errors[0][2]
+    assert gap.errors == errors
+    assert np.array_equal(gap.grid, grid, equal_nan=True)
+
+
 def counting_integrate_2d(monkeypatch):
     calls = []
     original = identity.integrate_2d

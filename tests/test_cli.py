@@ -100,6 +100,12 @@ SWEEP_ARGS = ("scan", "--scan-kind", "sweep", "--catalog", "uv", "--rect", "0,2,
               "--s", "0.25,0.5,1")
 COMPARE_ARGS = ("scan", "--scan-kind", "compare", "--catalog", "u2v2", "--s", "0.5",
                 "--q", "2")
+
+
+def fn_gap_args(fn):
+    return ("scan", "--fn", fn, "--rect", "0.5,2.5,1,3", "--grid", "12")
+
+
 # case -> argv; stdout is cli/<case>.out, the exit code cli/exit_codes.json[case]
 GOLDEN_CASES = {
     "lemma_exact": ("lemma", "--fn", "u^2*v^2+u*v", "--rect", "0.5,2.5,1,3",
@@ -142,6 +148,17 @@ GOLDEN_CASES = {
     "scan_gap_error_cells": ("scan", "--fn", "u^0.5*v^0.5", "--grid", "2"),
     "scan_gap_error_cells_json": ("scan", "--fn", "u^0.5*v^0.5", "--grid", "2",
                                   "--format", "json"),
+    # quadrature left sides on a 13x13 lattice, recorded before the column writers
+    "scan_fn_sqrt_csv": (*fn_gap_args("(u+v)^0.5*u"), "--format", "csv"),
+    "scan_fn_sqrt_json": (*fn_gap_args("(u+v)^0.5*u"), "--format", "json"),
+    "scan_fn_power_sum_csv": (*fn_gap_args("u^3*v^2.5+u^2.5*v^2"), "--format", "csv"),
+    "scan_fn_power_sum_json": (*fn_gap_args("u^3*v^2.5+u^2.5*v^2"), "--format", "json"),
+    "scan_fn_t2_json": (*fn_gap_args("u^3*v^2.5+u^2.5*v^2"), "--theorem", "t2",
+                        "--q", "1.5", "--format", "json"),
+    "scan_fn_t3_sharpened_csv": (*fn_gap_args("(u+v)^0.5*u"), "--theorem", "t3", "--q", "4",
+                                 "--t3-constant", "sharpened", "--format", "csv"),
+    "scan_fn_error_cells_csv": ("scan", "--fn", "u^0.5*v^0.5", "--grid", "12",
+                                "--format", "csv"),
     "sweep_csv": (*SWEEP_ARGS, "--format", "csv"),
     "sweep": SWEEP_ARGS,
     "sweep_t3_json": ("scan", "--scan-kind", "sweep", "--theorem", "t3", "--q", "2",
@@ -441,6 +458,36 @@ INAPPLICABLE_FLAGS = [
 def test_usage_errors_exit_2(args):
     res = run_cli(*args)
     assert res.returncode == 2, res.stderr
+
+
+# a rect whose width, height or area is not a positive finite float, and a
+# verbatim left side too large for a float (the rect's area is 1e-320)
+TINY = ("--catalog", "const", "--rect", "0,1e-160,0,1e-160", "--mode", "verbatim")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("scan", "--catalog", "const", "--rect", "0,1e-200,0,1e-200", "--mode", "verbatim",
+      "--grid", "2"), "area 0.0 must be finite and greater than 0"),
+    (("bound", "--catalog", "u2v2", "--rect", "0,1e-200,0,1e-200"), "area 0.0"),
+    (("bound", "--catalog", "uv", "--rect=-1e308,1e308,0,1"), "width inf"),
+    (("scan", "--catalog", "uv", "--rect=-1e308,1e308,0,1"), "width inf"),
+    (("bound", *TINY), "left side of const overflows a float at (5e-161, 5e-161)"),
+    (("lemma", *TINY), "left side of const overflows a float at (5e-161, 5e-161)"),
+], ids=["scan-area-underflows", "bound-area-underflows", "bound-width-overflows",
+        "scan-width-overflows", "bound-left-side-overflows", "lemma-left-side-overflows"])
+def test_unrepresentable_rect_or_left_side_is_one_error_line(args, message, capsys):
+    assert cli.main(list(args)) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1, out.err
+    assert message in out.err
+
+
+def test_scan_cells_whose_left_side_overflows_are_error_cells(capsys):
+    assert cli.main(["scan", *TINY, "--grid", "2", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["summary"]["error_cells"] == 9
+    assert all(r["lhs"] is None and r["margin"] is None for r in report["results"])
 
 
 @pytest.mark.parametrize("args", INAPPLICABLE_FLAGS)

@@ -23,6 +23,20 @@ def test_degenerate_rect_rejected(bad):
         make_rect(*bad)
 
 
+@pytest.mark.parametrize("coords", [(0, 1e-200, 0, 1e-200), (0, 0.5, 0, 5e-324),
+                                    (-1e308, 1e308, 0, 1), (0, 1, -1e308, 1e308),
+                                    (0, 1e200, 0, 1e200)],
+                         ids=["area-underflows", "area-underflows-subnormal",
+                              "width-overflows", "height-overflows", "area-overflows"])
+def test_rect_whose_width_height_or_area_is_not_a_positive_finite_float_is_rejected(coords):
+    with pytest.raises(DegenerateRect, match="must be finite and greater than 0"):
+        make_rect(*coords)
+
+
+def test_rect_with_a_subnormal_area_is_accepted():
+    assert Rect(0.0, 1e-160, 0.0, 1e-160).area > 0.0
+
+
 def test_contains_includes_boundary():
     r = Rect(0.0, 2.0, 0.0, 1.0)
     assert r.contains(EvalPoint(0.0, 0.0))

@@ -1,21 +1,22 @@
 """The exact left side at a point: recorded values, the rational formula as
-oracle, every coordinate type the rational path accepts, and modes given
-by their string values.
+oracle, the lattice evaluator against the point path, every coordinate
+type the rational path accepts, and modes given by their string values.
 """
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hadamard_rect.domain import EvalPoint, NormalizationMode, Rect
 from hadamard_rect.identity import (_exact_parts, _lhs_combination, corner_term_A,
-                                    lemma_lhs, lemma_lhs_at, lemma_residual,
-                                    lemma_residual_exact)
+                                    lemma_lhs, lemma_lhs_at, lemma_lhs_lattice,
+                                    lemma_residual, lemma_residual_exact)
 from hadamard_rect.suite import random_poly_battery
-from hadamard_rect.surfaces import Poly2, catalog, catalog_lookup, poly_surface
+from hadamard_rect.surfaces import (EvalError, Poly2, catalog, catalog_lookup, parse_surface,
+                                    poly_surface)
 
 OFF = Rect(0.5, 2.5, 1.0, 3.0)
 
@@ -94,18 +95,20 @@ def _rect_and_point(draw):
     coord = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
     a, b = sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
     c, d = sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
+    assume((b - a) * (d - c) > 0.0)          # Rect rejects an area that underflows
     x = draw(st.one_of(st.sampled_from((a, b)), st.floats(min_value=a, max_value=b)))
     y = draw(st.one_of(st.sampled_from((c, d)), st.floats(min_value=c, max_value=d)))
     return Rect(a, b, c, d), EvalPoint(x, y)
 
 
 def _outcome(value):
-    """repr of value(), which tells -0.0 from 0.0, or the error it raised:
-    on tiny rects the verbatim left side overflows a float."""
+    """repr of value(), which tells -0.0 from 0.0, or "overflow": on tiny
+    rects the verbatim left side overflows a float, which float() of the
+    oracle reports as OverflowError and the library as EvalError."""
     try:
         return repr(value())
-    except OverflowError as exc:
-        return f"OverflowError: {exc}"
+    except (OverflowError, EvalError):
+        return "overflow"
 
 
 @settings(max_examples=150, deadline=None)
@@ -117,6 +120,86 @@ def test_left_side_is_the_rational_formula_rounded_once(poly, where, mode):
                                                      *_exact_parts(poly, rect), mode)))
     assert _outcome(lambda: lemma_lhs_at(f, rect, mode)(pt)) == oracle
     assert _outcome(lambda: lemma_lhs(f, rect, pt, mode)) == oracle
+
+
+# ---------------------------------------------------------------------------
+# the lattice left side equals the point path node for node
+# ---------------------------------------------------------------------------
+
+def _lattice(rect: Rect, n: int = 12):
+    """scan_gap's lattice coordinates."""
+    xs = [rect.a + i * (rect.b - rect.a) / n for i in range(n)] + [rect.b]
+    ys = [rect.c + j * (rect.d - rect.c) / n for j in range(n)] + [rect.d]
+    return xs, ys
+
+
+def _point_path(f, rect, xs, ys, mode, use_exact=True):
+    """repr of lemma_lhs_at at each node, or the message of its EvalError."""
+    at = lemma_lhs_at(f, rect, mode, use_exact=use_exact)
+
+    def outcome(x, y):
+        try:
+            return repr(at(EvalPoint(x, y)))
+        except EvalError as exc:
+            return str(exc)
+
+    return [[outcome(x, y) for x in xs] for y in ys]
+
+
+def _lattice_path(f, rect, xs, ys, mode, use_exact=True):
+    """The same from one lemma_lhs_lattice call."""
+    values, failed = lemma_lhs_lattice(f, rect, xs, ys, mode, use_exact=use_exact)
+    assert values.shape == (len(ys), len(xs))
+    return [[failed.get((ix, iy), repr(v)) for ix, v in enumerate(row)]
+            for iy, row in enumerate(values.tolist())]
+
+
+@pytest.mark.parametrize("mode", list(NormalizationMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("coords", [(0.5, 2.5, 1, 3), (1, 2, 1, 2), (0.1, 0.7, 0.3, 1.9),
+                                    (1, 3, 0.5, 1.5)])
+@pytest.mark.parametrize("expr,use_exact", [("u^2*v^2+u*v", True), ("u^2*v^2+u*v", False),
+                                            ("u^2.5*v^2", True), ("(u+v)^0.5*u", True),
+                                            ("u^3*v^2.5+u^2.5*v^2", True)],
+                         ids=["exact", "quadrature-polynomial", "power", "sqrt", "power-sum"])
+def test_lattice_left_side_is_the_point_path_bit_for_bit(expr, use_exact, coords, mode):
+    f, rect = parse_surface(expr), Rect(*coords)
+    xs, ys = _lattice(rect)
+    assert (_lattice_path(f, rect, xs, ys, mode, use_exact)
+            == _point_path(f, rect, xs, ys, mode, use_exact))
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly=_polys(), where=_rect_and_point(), mode=st.sampled_from(NormalizationMode),
+       n=st.integers(1, 6))
+def test_exact_lattice_left_side_is_the_point_path(poly, where, mode, n):
+    rect, _ = where
+    f = poly_surface(poly, name="drawn")
+    xs, ys = _lattice(rect, n)
+    # on tiny rects some nodes of the verbatim left side overflow a float
+    assert _lattice_path(f, rect, xs, ys, mode) == _point_path(f, rect, xs, ys, mode)
+
+
+def test_an_overflowing_left_side_raises_eval_error_and_fails_its_lattice_nodes():
+    f, rect = catalog_lookup("const"), Rect(0.0, 1e-160, 0.0, 1e-160)
+    pt = rect.midpoint()
+    for call in (lambda: lemma_lhs_at(f, rect, "verbatim")(pt),
+                 lambda: lemma_lhs(f, rect, pt, "verbatim"),
+                 lambda: lemma_residual(f, rect, pt, "verbatim")):
+        with pytest.raises(EvalError, match="left side of const overflows a float"):
+            call()
+    xs, ys = _lattice(rect, 2)
+    values, errors = lemma_lhs_lattice(f, rect, xs, ys, "verbatim")
+    assert np.isnan(values).all()
+    assert sorted(errors) == [(ix, iy) for ix in range(3) for iy in range(3)]
+    assert errors[1, 1] == f"left side of const overflows a float at ({xs[1]}, {ys[1]})"
+    # the corrected left side of a constant is 0 everywhere
+    values, errors = lemma_lhs_lattice(f, rect, xs, ys, "corrected")
+    assert errors == {} and not values.any()
+
+
+def test_a_lattice_outside_the_rect_is_rejected():
+    with pytest.raises(ValueError, match="outside"):
+        lemma_lhs_lattice(catalog_lookup("uv"), OFF, [0.5, 2.6], [1.0, 3.0])
 
 
 # ---------------------------------------------------------------------------

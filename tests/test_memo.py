@@ -1,8 +1,8 @@
-"""The left-side, stencil and family-evaluator memos: repeated queries on
-one (f, rect), one point or one exponent set reuse earlier work and give
-the values a cold call gives.
+"""The parse, left-side, stencil and family-evaluator memos: repeated
+queries on one expression, one (f, rect), one point or one exponent set
+reuse earlier work and give the values a cold call gives.
 
-tests/conftest.py empties all three memos before each test.
+tests/conftest.py empties all four memos before each test.
 """
 import dataclasses
 
@@ -14,7 +14,7 @@ from hadamard_rect.bounds import t1_rhs, t2_rhs, t3_rhs
 from hadamard_rect.domain import EvalPoint, NormalizationMode, PrefactorMode, Rect
 from hadamard_rect.identity import lemma_lhs
 from hadamard_rect.quad import ToleranceNotMet
-from hadamard_rect.surfaces import EvalError, catalog_lookup, parse_surface
+from hadamard_rect.surfaces import EvalError, ParseError, catalog_lookup, parse_surface
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0)
 OFF = Rect(0.5, 2.5, 1.0, 3.0)
@@ -99,6 +99,31 @@ def test_left_side_table_stays_within_its_bound():
     misses = identity._lhs_parts.cache_info().misses
     assert lemma_lhs(f, rects[0], EvalPoint(0.5, 0.5)) == first
     assert identity._lhs_parts.cache_info().misses == misses + 1
+
+
+# ---------------------------------------------------------------------------
+# the parse memo: one Surface per expression
+# ---------------------------------------------------------------------------
+
+def test_two_scans_of_one_expression_fill_the_left_side_table_once(tmp_path, capsys):
+    argv = ["scan", "--fn", "u^2.5*v^2", "--rect", "0.5,2.5,1,3", "--grid", "4",
+            "--format", "csv"]
+    outs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    info = identity._lhs_parts.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert parse_surface("u^2.5*v^2") is parse_surface("u^2.5*v^2")
+    assert parse_surface("u^2.5*v^2", name="p") is not parse_surface("u^2.5*v^2")
+
+
+def test_a_bad_expression_raises_every_time_and_is_never_remembered():
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            parse_surface("u^^2")
+    assert parse_surface.cache_info().currsize == 0
 
 
 def test_two_suite_runs_in_one_process_give_identical_json(capsys):

@@ -1,6 +1,13 @@
+import csv
+import io
 import json
+import math
 
-from hadamard_rect.serialize import (build_report, fmt17, report_to_json,
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hadamard_rect.serialize import (FloatColumns, build_report, fmt17, report_to_json,
                                      rows_to_csv, run_timestamp)
 
 
@@ -36,3 +43,48 @@ def test_csv_uses_lf_and_full_precision():
     text = rows_to_csv(["a", "b"], [[0.1, True], [2, "z"]])
     assert text == "a,b\n0.10000000000000001,true\n2,z\n"
     assert "\r" not in text
+
+
+# ---------------------------------------------------------------------------
+# the column writers against the row writers they replace for float tables
+# ---------------------------------------------------------------------------
+
+def _rows_csv(header, rows):
+    """The row writer: csv.writer row by row, fmt17 per cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt17(cell) for cell in row])
+    return buf.getvalue()
+
+
+def _rows_json(report, names, rows):
+    """The row writer: json.dumps(indent=2) of one dict per row, with every
+    non-finite value written as null."""
+    results = [{name: (v if math.isfinite(v) else None) for name, v in zip(names, row)}
+               for row in rows]
+    return json.dumps({**report, "results": results}, indent=2, allow_nan=True) + "\n"
+
+
+_CELLS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                     1e16, 0.1, -1.0 / 3.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-1e-300, max_value=1e-300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=st.integers(1, 6).flatmap(
+           lambda k: st.lists(st.lists(_CELLS, min_size=k, max_size=k), max_size=12)),
+       summary=st.dictionaries(st.sampled_from(["results", "n", "x"]), _CELLS, max_size=3))
+def test_column_writers_equal_the_row_writers(table, summary):
+    width = len(table[0]) if table else 1
+    names = ["x", "y", "lhs", "rhs", "margin", 'a "quoted" %s, with a comma'][-width:]
+    grid = np.array(table, dtype=float).reshape(len(table), width)
+    assert rows_to_csv(names, grid) == _rows_csv(names, table)
+    report = build_report("0.1.0", "scan", {"results": "config"}, [], summary, ["a note"])
+    want = _rows_json(report, names, table)
+    got = report_to_json({**report, "results": FloatColumns(tuple(names), grid)})
+    assert got == want
+    assert json.loads(got)["results"] == json.loads(want)["results"]
