@@ -221,7 +221,7 @@ def lemma_lhs_at(f: Surface, rect: Rect,
 
 def lemma_lhs_lattice(f: Surface, rect: Rect, xs, ys,
                       mode: NormalizationMode = NormalizationMode.CORRECTED,
-                      cfg: QuadConfig = QuadConfig(), use_exact: bool = True):
+                      cfg: QuadConfig = QuadConfig()):
     """The signed left-hand side on the lattice xs by ys, whose coordinates
     lie in rect: a (len(ys), len(xs)) array, y by row and x by column, and
     {(ix, iy): message} of the nodes where lemma_lhs_at raises EvalError,
@@ -235,7 +235,7 @@ def lemma_lhs_lattice(f: Surface, rect: Rect, xs, ys,
     mode = NormalizationMode(mode)
     _check_point(rect, EvalPoint(min(xs), min(ys)))
     _check_point(rect, EvalPoint(max(xs), max(ys)))
-    if not (use_exact and f.poly is not None):
+    if f.poly is None:
         r, fc, edges, whole = _lhs_parts(_Same(f), rect, cfg)
         with np.errstate(over="ignore", invalid="ignore"):   # as Python floats are
             return _lhs_combination(r, *np.meshgrid(xs, ys), fc, edges, whole, mode), {}

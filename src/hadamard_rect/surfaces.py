@@ -487,7 +487,8 @@ def _expand(node) -> dict[tuple[Fraction, Fraction], Fraction] | None:
 
 
 # (text, name) pairs parse_surface keeps: one Surface per expression, so the
-# left-side and stencil memos, which key on the surface, hit across calls
+# left-side and stencil memos, which key on the surface, hit across calls.
+# It pays only when one process parses the same expression again.
 _PARSE_MEMO_SIZE = 128
 
 

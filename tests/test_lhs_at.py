@@ -133,9 +133,9 @@ def _lattice(rect: Rect, n: int = 12):
     return xs, ys
 
 
-def _point_path(f, rect, xs, ys, mode, use_exact=True):
+def _point_path(f, rect, xs, ys, mode):
     """repr of lemma_lhs_at at each node, or the message of its EvalError."""
-    at = lemma_lhs_at(f, rect, mode, use_exact=use_exact)
+    at = lemma_lhs_at(f, rect, mode)
 
     def outcome(x, y):
         try:
@@ -146,9 +146,9 @@ def _point_path(f, rect, xs, ys, mode, use_exact=True):
     return [[outcome(x, y) for x in xs] for y in ys]
 
 
-def _lattice_path(f, rect, xs, ys, mode, use_exact=True):
+def _lattice_path(f, rect, xs, ys, mode):
     """The same from one lemma_lhs_lattice call."""
-    values, failed = lemma_lhs_lattice(f, rect, xs, ys, mode, use_exact=use_exact)
+    values, failed = lemma_lhs_lattice(f, rect, xs, ys, mode)
     assert values.shape == (len(ys), len(xs))
     return [[failed.get((ix, iy), repr(v)) for ix, v in enumerate(row)]
             for iy, row in enumerate(values.tolist())]
@@ -157,15 +157,13 @@ def _lattice_path(f, rect, xs, ys, mode, use_exact=True):
 @pytest.mark.parametrize("mode", list(NormalizationMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("coords", [(0.5, 2.5, 1, 3), (1, 2, 1, 2), (0.1, 0.7, 0.3, 1.9),
                                     (1, 3, 0.5, 1.5)])
-@pytest.mark.parametrize("expr,use_exact", [("u^2*v^2+u*v", True), ("u^2*v^2+u*v", False),
-                                            ("u^2.5*v^2", True), ("(u+v)^0.5*u", True),
-                                            ("u^3*v^2.5+u^2.5*v^2", True)],
-                         ids=["exact", "quadrature-polynomial", "power", "sqrt", "power-sum"])
-def test_lattice_left_side_is_the_point_path_bit_for_bit(expr, use_exact, coords, mode):
+@pytest.mark.parametrize("expr", ["u^2*v^2+u*v", "u^2.5*v^2", "(u+v)^0.5*u",
+                                  "u^3*v^2.5+u^2.5*v^2"],
+                         ids=["exact", "power", "sqrt", "power-sum"])
+def test_lattice_left_side_is_the_point_path_bit_for_bit(expr, coords, mode):
     f, rect = parse_surface(expr), Rect(*coords)
     xs, ys = _lattice(rect)
-    assert (_lattice_path(f, rect, xs, ys, mode, use_exact)
-            == _point_path(f, rect, xs, ys, mode, use_exact))
+    assert _lattice_path(f, rect, xs, ys, mode) == _point_path(f, rect, xs, ys, mode)
 
 
 @settings(max_examples=60, deadline=None)
