@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -29,7 +30,9 @@ class GapSurface:
     grid rows are (x, y, lhs, rhs, margin) in scan order: y runs in the
     outer loop, x in the inner one. The lattice's first and last
     coordinates are the rectangle's edges exactly. Each row equals what
-    lemma_lhs and family_rhs give at that point, bit for bit. Cells that
+    lemma_lhs and family_rhs give at that point, bit for bit, although
+    both sides are computed for the whole lattice at once: the right side
+    is one pass of the family's formula over arrays. Cells that
     failed to evaluate carry NaN and an entry in errors; they do not abort
     the scan.
 
@@ -60,32 +63,40 @@ class RefinedMin:
     iterations: int
 
 
+class _FloatPow(np.ndarray):
+    """A float64 array whose ** is Python's float pow on each element.
+
+    numpy's power, and its square and square-root fast paths, can differ
+    from Python's pow in the last bit, so a family's stencil form run on
+    these arrays gives every cell the bits the point path gives it. As on
+    a float, a power too large for a float raises OverflowError.
+    """
+
+    def __pow__(self, e):
+        out = np.fromiter(map(pow, self.ravel().tolist(), repeat(e)), float, self.size)
+        return out.reshape(self.shape).view(_FloatPow)
+
+
 def _lattice_rhs(on_stencil: Callable[[Stencil, Rect, EvalPoint], float],
-                 rhs_at: Callable[[Surface, Rect, EvalPoint], float],
                  f: Surface, rect: Rect, xs: list[float], ys: list[float]
-                 ) -> Callable[[int, int, EvalPoint], float]:
-    """A family's right side at lattice cell (ix, iy) and its point, from
-    its stencil form on_stencil, or its point form rhs_at as a fallback.
+                 ) -> np.ndarray:
+    """A family's right side at every lattice cell, indexed [iy, ix]: one
+    mixed-partial call on the whole lattice, then one call of its stencil
+    form on_stencil over arrays.
 
     The lattice holds a, b, c and d, so each cell's stencil is lattice rows
-    (0, ix, n) by columns (0, iy, n), and one mixed-partial call on the
-    whole lattice serves every cell. Where that call raises EvalError, each
-    cell makes its own stencil call instead and keeps its own message.
+    (0, ix, n) by columns (0, iy, n), and each stencil entry is a slice of
+    M, the |D| array indexed [ix, iy]. Raises EvalError where the
+    mixed-partial call does, and OverflowError where a power does.
     """
-    try:
-        M = np.abs(f.mixed_partial(*np.meshgrid(xs, ys, indexing="ij"))).tolist()
-    except EvalError:
-        return lambda ix, iy, pt: rhs_at(f, rect, pt)
+    M = np.abs(f.mixed_partial(*np.meshgrid(xs, ys, indexing="ij"))).view(_FloatPow)
     n = len(xs) - 1
-    first, last = M[0], M[n]
-
-    def rhs(ix: int, iy: int, pt: EvalPoint) -> float:
-        row = M[ix]
-        D = [[first[0], first[iy], first[n]], [row[0], row[iy], row[n]],
-             [last[0], last[iy], last[n]]]
-        return on_stencil(D, rect, pt)
-
-    return rhs
+    ends = (slice(0, 1), slice(None), slice(n, n + 1))
+    D = [[M[i, j] for j in ends] for i in ends]
+    pt = EvalPoint(np.array(xs)[:, None].view(_FloatPow),
+                   np.array(ys)[None, :].view(_FloatPow))
+    with np.errstate(over="ignore", invalid="ignore"):   # as Python floats are
+        return np.asarray(on_stencil(D, rect, pt)).T
 
 
 def scan_gap(theorem: TheoremId, f: Surface, rect: Rect, s: float,
@@ -97,10 +108,12 @@ def scan_gap(theorem: TheoremId, f: Surface, rect: Rect, s: float,
     boundary. Deterministic: no randomness anywhere in the scan.
 
     Cost: one left-side lattice call (four edge integrals and one area
-    integral, then one array expression or one integer division per node)
-    and one mixed-partial call on the whole lattice, then a few dozen
-    float operations per cell. A cell whose left or right side raises
-    EvalError is an error cell. grid_n is at most MAX_GRID.
+    integral, then one array expression or one integer division per node),
+    one mixed-partial call on the whole lattice, and one pass of the
+    family's formula over the lattice as arrays. A cell whose left or right
+    side raises EvalError is an error cell; where the lattice's mixed
+    partial or right side fails, each cell falls back to family_rhs and
+    keeps its own message. grid_n is at most MAX_GRID.
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
@@ -112,30 +125,34 @@ def scan_gap(theorem: TheoremId, f: Surface, rect: Rect, s: float,
     # the last coordinate is b (d) itself: a + n (b - a) / n can miss it
     xs = [rect.a + i * (rect.b - rect.a) / grid_n for i in range(grid_n)] + [rect.b]
     ys = [rect.c + j * (rect.d - rect.c) / grid_n for j in range(grid_n)] + [rect.d]
-    rows = []
-    errors = []
     try:
-        lhs, lhs_failed = lemma_lhs_lattice(f, rect, xs, ys, mode, cfg)
+        lhs, failed = lemma_lhs_lattice(f, rect, xs, ys, mode, cfg)
     except (EvalError, ToleranceNotMet) as exc:
         # the left side's integrals do not depend on the point: every cell fails
-        for iy, y in enumerate(ys):
-            for ix, x in enumerate(xs):
-                errors.append((ix, iy, str(exc)))
-                rows.append((x, y, np.nan, np.nan, np.nan))
+        lhs = rhs = np.full((len(ys), len(xs)), np.nan)
+        failed = {(ix, iy): str(exc) for iy in range(len(ys)) for ix in range(len(xs))}
     else:
-        rhs_of = _lattice_rhs(on_stencil, rhs_at, f, rect, xs, ys)
-        for iy, (y, lhs_row) in enumerate(zip(ys, np.abs(lhs).tolist())):
-            for ix, x in enumerate(xs):
-                try:
-                    if (ix, iy) in lhs_failed:
-                        raise EvalError(lhs_failed[ix, iy])
-                    rhs = rhs_of(ix, iy, EvalPoint(x, y))
-                except EvalError as exc:
-                    errors.append((ix, iy, str(exc)))
-                    rows.append((x, y, np.nan, np.nan, np.nan))
-                    continue
-                rows.append((x, y, lhs_row[ix], rhs, rhs - lhs_row[ix]))
-    grid = np.array(rows, dtype=float)
+        lhs = np.abs(lhs)
+        try:
+            rhs = _lattice_rhs(on_stencil, f, rect, xs, ys)
+        except (EvalError, OverflowError):
+            rhs = np.full_like(lhs, np.nan)
+            for iy, y in enumerate(ys):
+                for ix, x in enumerate(xs):
+                    if (ix, iy) in failed:
+                        continue
+                    try:
+                        rhs[iy, ix] = rhs_at(f, rect, EvalPoint(x, y))
+                    except EvalError as exc:
+                        failed[ix, iy] = str(exc)
+    errors = sorted(((ix, iy, msg) for (ix, iy), msg in failed.items()),
+                    key=lambda e: (e[1], e[0]))   # scan order
+    with np.errstate(invalid="ignore"):     # inf - inf is NaN, as on floats
+        margin = rhs - lhs
+    for ix, iy, _ in errors:
+        lhs[iy, ix] = rhs[iy, ix] = margin[iy, ix] = np.nan
+    X, Y = np.meshgrid(xs, ys)
+    grid = np.column_stack([col.ravel() for col in (X, Y, lhs, rhs, margin)])
     margins = grid[:, 4]
     if np.all(np.isnan(margins)):
         min_margin, argmin = float("nan"), None

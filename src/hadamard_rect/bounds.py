@@ -3,8 +3,9 @@ of |d^2 f / du dv| (or its q-th power), plus the five-term mean chain.
 
 Three families, each written once as a function of |D| on the nine points
 {a, x, b} x {c, y, d}, which one mixed-partial call per point evaluates
-(consecutive bound calls at one point share it; a lattice scan evaluates
-every cell's nine with one call on the lattice):
+(consecutive bound calls at one point share it). A lattice scan evaluates
+every cell's nine with one call on the lattice and runs the same formula
+once, on arrays in place of the floats:
 
 - t1 (first power): kernel moments integrate to 1/((s+1)(s+2)) and the
   bound groups by evaluation point.
@@ -38,7 +39,8 @@ from .identity import lemma_lhs, lemma_lhs_at
 from .quad import (DEEP, QuadConfig, integrate_1d, integrate_2d,
                    holder_kernel_constant, poly1d_integral_exact,
                    poly_integral_exact, power_mean_prefactor)
-from .surfaces import (SamplerConfig, Surface, Verdict, certify_coordinated)
+from .surfaces import (EvalError, SamplerConfig, Surface, Verdict,
+                       certify_coordinated)
 
 __all__ = [
     "TheoremId", "Corner", "BoundReport", "ChainEvaluation", "family_rhs",
@@ -169,6 +171,11 @@ def _params(rect: Rect, pt: EvalPoint | None, s: float, mode: NormalizationMode,
 
 # ---------------------------------------------------------------------------
 # the three families, written once over the |D| stencil
+#
+# _t1 and _quadrant_sum also run once over a whole scan lattice, with
+# arrays for the coordinates and stencil entries whose ** is Python's float
+# pow (analysis._FloatPow): keep every operation elementwise and every
+# power a **, so that each cell keeps the point path's bits.
 # ---------------------------------------------------------------------------
 
 # (f, rect, pt, D) of the last _stencil call, shared by every family at pt
@@ -244,7 +251,8 @@ def family_stencil_rhs(theorem: TheoremId, s: float, q: float | None = None,
 
     s and q are checked here, once, so a caller can check them before it
     computes any left side. A lattice scan takes every cell's D from one
-    mixed-partial call on the whole lattice. The last _FAMILY_MEMO_SIZE
+    mixed-partial call on the whole lattice and calls the evaluator once,
+    with arrays for D and pt. The last _FAMILY_MEMO_SIZE
     argument sets keep their evaluator; a bad s or q raises on every call
     and is not kept.
     """
@@ -271,10 +279,19 @@ def family_rhs(theorem: TheoremId, s: float, q: float | None = None,
     """The right side of family t1, t2 or t3 as a function of (f, rect, pt).
 
     s and q are checked here, once. Each evaluation makes one
-    mixed-partial call, on the point's nine-point stencil.
+    mixed-partial call, on the point's nine-point stencil. A power too
+    large for a float raises EvalError naming the family, f and pt.
     """
     on_stencil = family_stencil_rhs(theorem, s, q, constant_mode)
-    return lambda f, rect, pt: on_stencil(_stencil(f, rect, pt), rect, pt)
+
+    def rhs(f: Surface, rect: Rect, pt: EvalPoint) -> float:
+        try:
+            return on_stencil(_stencil(f, rect, pt), rect, pt)
+        except OverflowError:
+            raise EvalError(f"{theorem.value} right side of {f.name} overflows a float "
+                            f"at ({pt.x}, {pt.y})") from None
+
+    return rhs
 
 
 def t1_rhs(f: Surface, rect: Rect, pt: EvalPoint, s: float) -> float:

@@ -2,8 +2,8 @@
 
 CSV floats use 17 significant digits (exact double round-trip). JSON floats
 rely on repr, which carries the same round-trip guarantee. The timestamp
-field is populated from SOURCE_DATE_EPOCH when set and is null otherwise,
-so identical runs produce identical bytes.
+field is populated from SOURCE_DATE_EPOCH when set and not empty, and is
+null otherwise, so identical runs produce identical bytes.
 
 A table of float columns (a scan's lattice) is written column by column:
 rows_to_csv takes it as a 2-d float array, and report_to_json as results
@@ -43,10 +43,17 @@ def fmt17(value) -> str:
 
 
 def run_timestamp() -> str | None:
+    """SOURCE_DATE_EPOCH as an ISO 8601 UTC time; None when it is unset or
+    empty. A value that is not a whole number of seconds a date can hold
+    raises ValueError naming the variable."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is None:
+    if not epoch:
         return None
-    return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    try:
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError):
+        raise ValueError("SOURCE_DATE_EPOCH must be a whole number of seconds since "
+                         f"1970-01-01 UTC, got {epoch!r}") from None
 
 
 def build_report(version: str, command: str, config: dict, results: list | FloatColumns,

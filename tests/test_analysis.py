@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hadamard_rect import identity
+from hadamard_rect import bounds, identity
 from hadamard_rect.analysis import (MAX_GRID, GapSurface, RefinedMin,
                                     compare_families, refine_argmin, scan_gap,
                                     sweep_s)
@@ -121,9 +123,10 @@ def test_compare_families_shares_lhs():
 # scans against the point path: one left side and one right side per point
 # ---------------------------------------------------------------------------
 
-def point_loop(theorem, f, rect, s, q, grid_n, mode):
+def point_loop(theorem, f, rect, s, q, grid_n, mode,
+               constant_mode=PrefactorMode.VERBATIM):
     """The reference scan: lemma_lhs and the point family_rhs at each cell."""
-    rhs_at = family_rhs(theorem, s, q)
+    rhs_at = family_rhs(theorem, s, q, constant_mode)
     xs = [rect.a + i * (rect.b - rect.a) / grid_n for i in range(grid_n)] + [rect.b]
     ys = [rect.c + j * (rect.d - rect.c) / grid_n for j in range(grid_n)] + [rect.d]
     rows, errors = [], []
@@ -152,6 +155,98 @@ def test_scan_rows_equal_the_point_path(expr, theorem, q, mode):
     assert gap.grid.shape == grid.shape
     for row, ref in zip(gap.grid, grid):
         assert tuple(row) == tuple(ref)
+
+
+# every family the lattice benchmark scans, and the sharpened t3 constant
+LATTICE_FAMILIES = [(TheoremId.T1, None, PrefactorMode.VERBATIM),
+                    *((TheoremId.T2, q, PrefactorMode.VERBATIM) for q in (1.5, 2.0, 3.0)),
+                    *((TheoremId.T3, q, cmode) for q in (1.0, 2.0, 4.0)
+                      for cmode in PrefactorMode)]
+
+
+def family_id(family):
+    theorem, q, cmode = family
+    if theorem is TheoremId.T1:
+        return "t1"
+    tag = f"{theorem.value}-q{q:g}"
+    return f"{tag}-{cmode.value}" if theorem is TheoremId.T3 else tag
+
+
+def assert_scan_equals_point_loop(theorem, f, rect, s, q, grid_n, cmode):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gap = scan_gap(theorem, f, rect, s, q, grid_n, cmode)
+        grid, errors = point_loop(theorem, f, rect, s, q, grid_n,
+                                  NormalizationMode.CORRECTED, cmode)
+    assert gap.errors == errors
+    assert gap.grid.shape == grid.shape
+    # bit for bit: a last-bit slip in any power shows here
+    assert gap.grid.tobytes() == grid.tobytes()
+    return gap
+
+
+@pytest.mark.parametrize("rect", [OFF, Rect(0.1, 0.7, 0.3, 1.9)], ids=["off", "decimal"])
+@pytest.mark.parametrize("grid_n", [1, 12])
+@pytest.mark.parametrize("s", [0.25, 1.0])
+@pytest.mark.parametrize("family", LATTICE_FAMILIES, ids=family_id)
+def test_scan_rows_equal_the_point_path_for_every_lattice_family(family, s, grid_n, rect):
+    # at grid 1 every cell's middle stencil row and column is row 0 or n
+    theorem, q, cmode = family
+    for expr in ("u^2.5*v^2", "u^3*v^2.5+u^2.5*v^2", "(u+v)^0.5*u"):
+        gap = assert_scan_equals_point_loop(theorem, parse_surface(expr), rect, s, q,
+                                            grid_n, cmode)
+        assert not gap.errors
+
+
+EXPONENTS = st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+
+
+@st.composite
+def power_products(draw):
+    terms = [f"{draw(st.integers(1, 5))}*u^{draw(EXPONENTS):g}*v^{draw(EXPONENTS):g}"
+             for _ in range(draw(st.integers(1, 2)))]
+    return parse_surface("+".join(terms))
+
+
+@st.composite
+def decimal_rects(draw):
+    a, c = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    return Rect(a / 10, (a + draw(st.integers(1, 30))) / 10,
+                c / 10, (c + draw(st.integers(1, 30))) / 10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=power_products(), rect=decimal_rects(), grid_n=st.integers(1, 9),
+       family=st.sampled_from(LATTICE_FAMILIES), s=st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+def test_scan_equals_the_point_path_on_random_power_products(f, rect, grid_n, family, s):
+    # rects touching an axis give u^0.5 factors an infinite |D|: error
+    # cells and the per-cell fallback are compared too
+    theorem, q, cmode = family
+    assert_scan_equals_point_loop(theorem, f, rect, s, q, grid_n, cmode)
+
+
+def test_scan_cells_whose_right_side_overflows_equal_the_point_path():
+    # (x - a)^2 or (b - x)^2 overflows a float at the cells on x = a and
+    # x = b; the cells on the middle column hold
+    rect = Rect(0.0, 1.5e154, 0.0, 1.0)
+    for theorem, q in ((TheoremId.T1, None), (TheoremId.T3, 2.0)):
+        gap = assert_scan_equals_point_loop(theorem, UV, rect, 1.0, q, 2,
+                                            PrefactorMode.VERBATIM)
+        assert [e[:2] for e in gap.errors] == [(0, 0), (2, 0), (0, 1), (2, 1), (0, 2), (2, 2)]
+        assert gap.errors[0][2] == (f"{theorem.value} right side of uv overflows a float "
+                                    "at (0.0, 0.0)")
+
+
+def test_clean_scan_evaluates_the_family_formula_once(monkeypatch):
+    calls = []
+    for name in ("_t1", "_quadrant_sum"):
+        def counted(*args, _name=name, _original=getattr(bounds, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(bounds, name, counted)
+    for theorem, q in ((TheoremId.T1, None), (TheoremId.T2, 2.0), (TheoremId.T3, 2.0)):
+        assert not scan_gap(theorem, POWER, OFF, 0.5, q, grid_n=8).errors
+    # once for the whole 9x9 lattice, not once per cell
+    assert calls == ["_t1", "_quadrant_sum", "_quadrant_sum"]
 
 
 @pytest.mark.parametrize("expr", ["(u+v)^0.5*u", "u^0.5*v^0.5"])

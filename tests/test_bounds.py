@@ -13,7 +13,7 @@ from hadamard_rect.bounds import (BOUND_ABS_TOL, BOUND_REL_TOL, Corner,
 from hadamard_rect.domain import (EvalPoint, NormalizationMode, PrefactorMode,
                                   Rect)
 from hadamard_rect.quad import DEEP
-from hadamard_rect.surfaces import catalog_lookup, parse_surface, scaled
+from hadamard_rect.surfaces import EvalError, catalog_lookup, parse_surface, scaled
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0)
 WIDE = Rect(0.0, 2.0, 0.0, 1.0)
@@ -133,6 +133,20 @@ def test_each_point_bound_makes_one_nine_point_mixed_partial_call():
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rhs, f, rect, pt, message", [
+    (lambda f, rect, pt: t2_rhs(f, rect, pt, 1.0, 2.0), parse_surface("u^3*v^3"),
+     Rect(0.0, 1e40, 0.0, 1e40), EvalPoint(5e39, 5e39),
+     "t2 right side of u^3*v^3 overflows a float at (5e+39, 5e+39)"),
+    (lambda f, rect, pt: t1_rhs(f, rect, pt, 1.0), UV, Rect(0.0, 1e200, 0.0, 1.0),
+     EvalPoint(5e199, 0.5), "t1 right side of uv overflows a float at (5e+199, 0.5)"),
+], ids=["power-of-d", "squared-offset"])
+def test_right_side_whose_power_overflows_raises_eval_error(rhs, f, rect, pt, message):
+    # Python's float ** raises OverflowError where * would give inf
+    with pytest.raises(EvalError) as exc:
+        rhs(f, rect, pt)
+    assert str(exc.value) == message
+
 
 def test_report_fields_are_consistent():
     rep = t1_report(U2V2, WIDE, EvalPoint(1.0, 0.5), 0.5)

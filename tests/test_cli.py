@@ -490,6 +490,49 @@ def test_scan_cells_whose_left_side_overflows_are_error_cells(capsys):
     assert all(r["lhs"] is None and r["margin"] is None for r in report["results"])
 
 
+# a right side whose power is too large for a float: |D|^q at (x, y), and
+# (x - a)^2
+RHS_OVERFLOWS = [("--theorem", "t2", "--q", "2", "--fn", "u^3*v^3",
+                  "--rect", "0,1e40,0,1e40"),
+                 ("--theorem", "t1", "--catalog", "uv", "--rect", "0,1e200,0,1")]
+
+
+@pytest.mark.parametrize("args, point, message", [
+    (RHS_OVERFLOWS[0], "5e39,5e39", "t2 right side of u^3*v^3 overflows a float at (5e+39, 5e+39)"),
+    (RHS_OVERFLOWS[1], "5e199,0.5", "t1 right side of uv overflows a float at (5e+199, 0.5)"),
+], ids=["power-of-d", "squared-offset"])
+def test_right_side_that_overflows_is_one_error_line(args, point, message, capsys):
+    assert cli.main(["bound", *args, "--point", point]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", RHS_OVERFLOWS, ids=["power-of-d", "squared-offset"])
+def test_scan_cells_whose_right_side_overflows_are_error_cells(args, capsys):
+    assert cli.main(["scan", "--scan-kind", "gap", *args, "--grid", "2",
+                     "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["summary"]["error_cells"] == 9
+    assert all(r["rhs"] is None and r["margin"] is None for r in report["results"])
+
+
+def test_empty_source_date_epoch_reads_as_unset(monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "")
+    assert cli.main(["lemma", "--catalog", "uv", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["timestamp"] is None
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "99999999999999999999"])
+def test_malformed_source_date_epoch_is_one_error_line(value, monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+    assert cli.main(["lemma", "--catalog", "uv", "--format", "json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: SOURCE_DATE_EPOCH ") and out.err.count("\n") == 1, out.err
+    assert repr(value) in out.err
+
+
 @pytest.mark.parametrize("args", INAPPLICABLE_FLAGS)
 def test_flag_that_cannot_take_effect_is_one_error_line(args, capsys):
     assert cli.main(list(args)) == 2

@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,15 @@ def test_timestamp_follows_source_date_epoch(monkeypatch):
     assert run_timestamp() is None
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     assert run_timestamp() == "1970-01-01T00:00:00+00:00"
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "")
+    assert run_timestamp() is None
+
+
+@pytest.mark.parametrize("value", ["abc", "0x10", "1e9", "99999999999999999999"])
+def test_malformed_source_date_epoch_names_the_variable(monkeypatch, value):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+    with pytest.raises(ValueError, match=f"SOURCE_DATE_EPOCH .* got '{value}'"):
+        run_timestamp()
 
 
 def test_report_shape_and_json_bytes(monkeypatch):
