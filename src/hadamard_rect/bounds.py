@@ -202,20 +202,20 @@ def _stencil(f: Surface, rect: Rect, pt: EvalPoint) -> Stencil:
 
 def _t1(D: Stencil, rect: Rect, pt: EvalPoint, s: float) -> float:
     """First-power bound, grouped by evaluation point."""
-    a, b, c, d = rect.a, rect.b, rect.c, rect.d
     x, y = pt.x, pt.y
-    wx = (x - a) ** 2 + (b - x) ** 2
-    wy = (y - c) ** 2 + (d - y) ** 2
+    xa, bx = (x - rect.a) ** 2, (rect.b - x) ** 2
+    yc, dy = (y - rect.c) ** 2, (rect.d - y) ** 2
+    wx, wy = xa + bx, yc + dy
     s1 = s + 1.0
     acc = wx * wy / s1 ** 2 * D[1][1]
-    acc += (x - a) ** 2 * wy / s1 * D[0][1]
-    acc += (b - x) ** 2 * wy / s1 * D[2][1]
-    acc += (y - c) ** 2 * wx / s1 * D[1][0]
-    acc += (d - y) ** 2 * wx / s1 * D[1][2]
-    acc += (x - a) ** 2 * (y - c) ** 2 * D[0][0]
-    acc += (x - a) ** 2 * (d - y) ** 2 * D[0][2]
-    acc += (b - x) ** 2 * (y - c) ** 2 * D[2][0]
-    acc += (b - x) ** 2 * (d - y) ** 2 * D[2][2]
+    acc += xa * wy / s1 * D[0][1]
+    acc += bx * wy / s1 * D[2][1]
+    acc += yc * wx / s1 * D[1][0]
+    acc += dy * wx / s1 * D[1][2]
+    acc += xa * yc * D[0][0]
+    acc += xa * dy * D[0][2]
+    acc += bx * yc * D[2][0]
+    acc += bx * dy * D[2][2]
     return acc / (rect.area * (s + 2.0) ** 2)
 
 
@@ -228,11 +228,13 @@ def _quadrant_sum(D: Stencil, rect: Rect, pt: EvalPoint, q: float,
     x, y = pt.x, pt.y
     area, inv_q = rect.area, 1.0 / q
     dxy = D[1][1] ** q
+    v_sides = ((0, (y - rect.c) ** 2, edge_w * D[1][0] ** q),
+               (2, (rect.d - y) ** 2, edge_w * D[1][2] ** q))
     acc = 0.0
     for i, wu in ((0, (x - rect.a) ** 2), (2, (rect.b - x) ** 2)):
-        for j, wv in ((0, (y - rect.c) ** 2), (2, (rect.d - y) ** 2)):
-            inner = (dxy + edge_w * D[1][j] ** q + edge_w * D[i][1] ** q
-                     + corner_w * D[i][j] ** q)
+        edge_u = edge_w * D[i][1] ** q
+        for j, wv, edge_v in v_sides:
+            inner = dxy + edge_v + edge_u + corner_w * D[i][j] ** q
             acc += wu * wv / area * inner ** inv_q
     return acc
 

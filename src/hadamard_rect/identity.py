@@ -35,6 +35,11 @@ one integer den, so the left side at x = nx/dx, y = ny/dy is
     (k00 dx dy + k10 nx dy + k01 ny dx + k11 nx ny) / (den dx dy),
 
 one correctly rounded integer division: float() of the rational formula.
+The integers are read off _lhs_combination, the one left-side formula:
+its rational values at the unit square's corners give the four bilinear
+coefficients. The rational right side composes D with each quadrant's
+affine map and integrates against the kernel by its moments,
+integral_0^1 (1-t) t^k dt = 1 / ((k+1)(k+2)), without forming the product.
 """
 from __future__ import annotations
 
@@ -56,9 +61,6 @@ __all__ = [
 ]
 
 _UNIT = Rect(0.0, 1.0, 0.0, 1.0)
-
-# every quadrant's kernel is its sign times this, as a Poly2 in (t, l)
-_KERNEL = Poly2.from_dict({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})   # (1-t)(1-l)
 
 
 @dataclass(frozen=True)
@@ -350,36 +352,21 @@ def _exact_parts(p: Poly2, rect: Rect):
 
 def _bilinear_coefficients(r, fc, edges, whole) -> dict:
     """_lhs_combination over rationals in integer form: per mode, integers
-    (k00, k10, k01, k11, den) with den > 0 such that the left side at
-    (x, y) is (k00 + k10 x + k01 y + k11 x y) / den.
+    (k00, k10, k01, k11, den) with den > 0 and no common factor such that
+    the left side at (x, y) is (k00 + k10 x + k01 y + k11 x y) / den.
 
-    Every input is scaled to an integer by the lcm L of their denominators,
-    so no step reduces a fraction; one gcd per mode reduces the result.
+    The left side is bilinear in (x, y), so its values l00, l10, l01, l11
+    at the unit square's corners give its coefficients l00, l10 - l00,
+    l01 - l00 and l11 - l10 - l01 + l00; one lcm makes them integers and
+    one gcd reduces them.
     """
-    values = (*r, *fc, *edges, whole)
-    L = math.lcm(*(v.denominator for v in values))
-    a, b, c, d, f0, f1, f2, f3, ea, eb, ed, ec, w = (
-        v.numerator * (L // v.denominator) for v in values)
-    # the corner sum is g00 + g10 x + g01 y + g11 xy over L^3, L^2, L^2, L;
-    # the edge and area terms h00 + h10 x + h01 y over L^2, L, L
-    g00 = a * c * f0 - a * d * f1 - b * c * f2 + b * d * f3
-    g10 = c * (f2 - f0) + d * (f1 - f3)
-    g01 = a * (f1 - f0) + b * (f2 - f3)
-    g11 = f0 - f1 - f2 + f3
-    h00 = a * ea - b * eb - d * ed + c * ec + w * L
-    h10 = eb - ea
-    h01 = ed - ec
-    area = (b - a) * (d - c)                      # over L^2
-    # corrected: (g + h) / area, times L^3 / L^3; verbatim: (g / area + h)
-    # / area = (g + h area) / area^2, times L^4 / L^4
-    forms = {
-        NormalizationMode.CORRECTED: (g00 + h00 * L, (g10 + h10 * L) * L,
-                                      (g01 + h01 * L) * L, g11 * L * L, area * L),
-        NormalizationMode.VERBATIM: (g00 * L + h00 * area, (g10 * L + h10 * area) * L,
-                                     (g01 * L + h01 * area) * L, g11 * L ** 3, area * area),
-    }
     out = {}
-    for mode, ks in forms.items():
+    for mode in NormalizationMode:
+        l00, l10, l01, l11 = (_lhs_combination(r, x, y, fc, edges, whole, mode)
+                              for x, y in ((0, 0), (1, 0), (0, 1), (1, 1)))
+        coeffs = (l00, l10 - l00, l01 - l00, l11 - l10 - l01 + l00)
+        den = math.lcm(*(k.denominator for k in coeffs))
+        ks = (*(k.numerator * (den // k.denominator) for k in coeffs), den)
         g = math.gcd(*ks)
         out[mode] = tuple(k // g for k in ks)
     return out
@@ -394,6 +381,16 @@ def _ratio(v) -> tuple[int, int]:
         return q.numerator, q.denominator
 
 
+def _kernel_integral(p: Poly2) -> Fraction:
+    """II[(1-t)(1-l) p(t, l)] over the unit square, from the kernel's
+    moments: integral_0^1 (1-t) t^k dt = 1 / ((k+1)(k+2))."""
+    total = Fraction(0)
+    for i, row in enumerate(p.coeffs):
+        inner = sum((cv / ((j + 1) * (j + 2)) for j, cv in enumerate(row) if cv), Fraction(0))
+        total += inner / ((i + 1) * (i + 2))
+    return total
+
+
 def _exact_rhs_terms(p: Poly2, r, x: Fraction, y: Fraction) -> tuple[Fraction, ...]:
     """The quadrant terms of p at (x, y) in rational arithmetic; r = (a, b, c, d)."""
     a, b, c, d = r
@@ -405,8 +402,7 @@ def _exact_rhs_terms(p: Poly2, r, x: Fraction, y: Fraction) -> tuple[Fraction, .
             terms.append(Fraction(0))
             continue
         composed = mixed.compose_affine(uc, x - uc, vc, y - vc)
-        integ = poly_integral_exact(_KERNEL.mul(composed), _UNIT)
-        terms.append(sign * weight / area * integ)
+        terms.append(sign * weight / area * _kernel_integral(composed))
     return tuple(terms)
 
 

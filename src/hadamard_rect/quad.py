@@ -67,6 +67,15 @@ class IntegralResult:
     subdivisions: int      # deepest level reached
 
 
+def _legendre(order: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_order and its derivative at x, by the three-term recurrence."""
+    p0 = np.ones_like(x)
+    p1 = x.copy()
+    for j in range(2, order + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, order * (x * p1 - p0) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1] via Newton iteration, cached per order."""
@@ -77,20 +86,12 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(order)
     x = np.cos(np.pi * (k + 0.75) / (order + 0.5))
     for _ in range(100):
-        p0 = np.ones_like(x)
-        p1 = x.copy()
-        for j in range(2, order + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = order * (x * p1 - p0) / (x * x - 1.0)
-        dx = p1 / dp
+        p, dp = _legendre(order, x)
+        dx = p / dp
         x -= dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for j in range(2, order + 1):
-        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    dp = order * (x * p1 - p0) / (x * x - 1.0)
+    _, dp = _legendre(order, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     idx = np.argsort(x)
     x = x[idx]

@@ -167,21 +167,6 @@ class Poly2:
                         grid[it][jl] += cij * ct * cl
         return Poly2(tuple(tuple(row) for row in grid))
 
-    def mul(self, other: "Poly2") -> "Poly2":
-        du = self.degree_u + other.degree_u
-        dv = self.degree_v + other.degree_v
-        grid = [[Fraction(0)] * (dv + 1) for _ in range(du + 1)]
-        for i1, row1 in enumerate(self.coeffs):
-            for j1, c1 in enumerate(row1):
-                if c1 == 0:
-                    continue
-                for i2, row2 in enumerate(other.coeffs):
-                    for j2, c2 in enumerate(row2):
-                        if c2 == 0:
-                            continue
-                        grid[i1 + i2][j1 + j2] += c1 * c2
-        return Poly2(tuple(tuple(row) for row in grid))
-
     def scale(self, k: Fraction) -> "Poly2":
         return Poly2(tuple(tuple(k * cv for cv in row) for row in self.coeffs))
 
@@ -269,27 +254,39 @@ def const_surface(k: float = 1.0, name: str | None = None) -> Surface:
     return poly_surface(p, name or f"const({k:g})")
 
 
+def _power_sum(terms, u: np.ndarray, v: np.ndarray, acc):
+    """acc plus c u^al v^be over terms (c, al, be). A term is 0 where one
+    factor is an exact zero and the other's exponent is >= 0, even where
+    that other factor overflows; a zero to a negative power stays a pole.
+    Only a sum that is not finite pays for that check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = acc
+        for c, al, be in terms:
+            out = out + c * np.power(u, al) * np.power(v, be)
+    if np.isfinite(out).all():
+        return out
+    for c, al, be in terms:
+        with np.errstate(over="ignore"):      # an overflow shows as inf
+            pu, pv = np.power(u, al), np.power(v, be)
+        pu = np.where((v == 0.0) & (be > 0.0) & (al >= 0.0) & np.isinf(pu), 0.0, pu)
+        pv = np.where((u == 0.0) & (al > 0.0) & (be >= 0.0) & np.isinf(pv), 0.0, pv)
+        acc = acc + c * pu * pv
+    return acc
+
+
 def power_surface(terms: list[tuple[float, float, float]], name: str = "power") -> Surface:
     """Sum of c * u^alpha * v^beta terms with alpha, beta >= 0."""
     terms = [(float(c), float(al), float(be)) for c, al, be in terms]
 
     def fn(u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        acc = 0.0
-        for c, al, be in terms:
-            acc = acc + c * np.power(u, al) * np.power(v, be)
-        return acc
+        return _power_sum(terms, np.asarray(u, dtype=float), np.asarray(v, dtype=float), 0.0)
 
     dterms = [(c * al * be, al - 1.0, be - 1.0)
               for c, al, be in terms if al != 0.0 and be != 0.0]
 
     def mixed(u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        acc = np.zeros(np.broadcast_shapes(u.shape, v.shape))
-        for c, al, be in dterms:
-            acc = acc + c * np.power(u, al) * np.power(v, be)
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        acc = _power_sum(dterms, u, v, np.zeros(np.broadcast_shapes(u.shape, v.shape)))
         return acc if acc.shape else float(acc)
 
     return Surface(name=name, fn=fn, mixed_fn=mixed)

@@ -572,6 +572,14 @@ def test_non_finite_values_report_one_error_line_without_numpy_warnings(args):
     assert "Warning" not in res.stderr
 
 
+def test_an_overflowing_power_product_names_the_overflow(capsys):
+    # u^2.5 overflows at u = 1.5e154, but where v = 0 the term is exactly 0,
+    # so the first value that is not finite is the real overflow at v = 1
+    assert cli.main(["bound", "--fn", "u^2.5*v^2", "--rect", "0,1.5e154,0,1"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: u^2.5*v^2 evaluated to inf at (1.5e+154, 1.0)\n")
+
+
 @pytest.mark.parametrize("args, code", [
     (("bound", "--theorem", "t1", "--fn", "u^1.5*v^1.5", "--certify"), 0),
     (("chain", "--fn", "u*v+1-u^2", "--certify"), 1),

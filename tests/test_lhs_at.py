@@ -15,8 +15,8 @@ from hadamard_rect.identity import (_exact_parts, _lhs_combination, corner_term_
                                     lemma_lhs, lemma_lhs_at, lemma_lhs_lattice,
                                     lemma_residual, lemma_residual_exact)
 from hadamard_rect.suite import random_poly_battery
-from hadamard_rect.surfaces import (EvalError, Poly2, catalog, catalog_lookup, parse_surface,
-                                    poly_surface)
+from hadamard_rect.surfaces import (MAX_POLY_DEGREE, EvalError, Poly2, catalog, catalog_lookup,
+                                    parse_surface, poly_surface)
 
 OFF = Rect(0.5, 2.5, 1.0, 3.0)
 
@@ -120,6 +120,47 @@ def test_left_side_is_the_rational_formula_rounded_once(poly, where, mode):
                                                      *_exact_parts(poly, rect), mode)))
     assert _outcome(lambda: lemma_lhs_at(f, rect, mode)(pt)) == oracle
     assert _outcome(lambda: lemma_lhs(f, rect, pt, mode)) == oracle
+
+
+@st.composite
+def _full_degree_polys(draw):
+    """Up to MAX_POLY_DEGREE in each variable, with one term of degree at
+    least 6 in both, so the right side meets the kernel moments of degree
+    5 to 7 in each variable."""
+    top = draw(st.tuples(st.integers(6, MAX_POLY_DEGREE), st.integers(6, MAX_POLY_DEGREE)))
+    degree = st.integers(0, MAX_POLY_DEGREE)
+    terms = draw(st.dictionaries(st.tuples(degree, degree), st.integers(-3, 3).filter(bool),
+                                 max_size=7))
+    return Poly2.from_dict({**terms, top: draw(st.integers(1, 3))})
+
+
+@st.composite
+def _grid_rect_and_point(draw):
+    """A rect and a point inside it on one grid of step 1/den: dyadic (8)
+    or decimal (10, whose floats have large power-of-two denominators)."""
+    den = draw(st.sampled_from((8, 10)))
+    ticks = st.lists(st.integers(-24, 24), min_size=2, max_size=2, unique=True)
+    a, b = sorted(draw(ticks))
+    c, d = sorted(draw(ticks))
+    x, y = draw(st.integers(a, b)), draw(st.integers(c, d))
+    return Rect(a / den, b / den, c / den, d / den), EvalPoint(x / den, y / den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly=_full_degree_polys(), where=_grid_rect_and_point())
+def test_full_degree_identity_is_exact_and_its_left_side_is_the_formula(poly, where):
+    rect, pt = where
+    f = poly_surface(poly, name="drawn")
+    corrected = lemma_residual_exact(f, rect, pt, NormalizationMode.CORRECTED)
+    assert corrected.residual == 0
+    # verbatim divides A by the area once more, and that is its whole residual
+    verbatim = lemma_residual_exact(f, rect, pt, NormalizationMode.VERBATIM)
+    a, b, c, d = rect.exact()
+    assert verbatim.residual == abs(verbatim.a_term - corrected.a_term) / ((b - a) * (d - c))
+    for mode in NormalizationMode:
+        oracle = float(_lhs_combination(rect.exact(), *pt.exact(),
+                                        *_exact_parts(poly, rect), mode))
+        assert repr(lemma_lhs_at(f, rect, mode)(pt)) == repr(oracle)
 
 
 # ---------------------------------------------------------------------------

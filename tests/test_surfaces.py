@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +99,24 @@ def test_eval_error_outside_power_domain():
     with np.errstate(invalid="ignore"):
         with pytest.raises(EvalError):
             f(-1.0, 1.0)
+
+
+def test_a_power_product_term_is_zero_where_a_factor_is_exactly_zero():
+    # u^2.5 overflows at u = 1.5e154; against v^2 = 0 the term is 0, not
+    # inf * 0, and numpy's overflow warning does not escape
+    f = parse_surface("u^2.5*v^2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f(1.5e154, 0.0) == 0.0
+        assert f.fn(np.array([1.5e154, 4.0]), np.array([0.0, 3.0])).tolist() == [0.0, 288.0]
+        assert f.mixed_partial(1e250, 0.0) == 0.0          # 5 u^1.5 v
+        with pytest.raises(EvalError, match=r"evaluated to inf at \(1\.5e\+154, 1\.0\)"):
+            f(1.5e154, 1.0)
+    # a zero to a negative power is a pole, even against an exact zero
+    g = parse_surface("u^0.5*v^2")                         # D = u^-0.5 v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(EvalError, match=r"is nan at \(0\.0, 0\.0\)"):
+            g.mixed_partial(0.0, 0.0)
 
 
 def test_mixed_partial_error_names_first_non_finite_point():
