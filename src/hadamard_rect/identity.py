@@ -357,8 +357,10 @@ def _bilinear_coefficients(r, fc, edges, whole) -> dict:
 
     The left side is bilinear in (x, y), so its values l00, l10, l01, l11
     at the unit square's corners give its coefficients l00, l10 - l00,
-    l01 - l00 and l11 - l10 - l01 + l00; one lcm makes them integers and
-    one gcd reduces them.
+    l01 - l00 and l11 - l10 - l01 + l00. Scaled to the lcm of their reduced
+    denominators, they are already in lowest terms: each prime of den
+    fails to divide the numerator scaled from the coefficient whose
+    denominator holds its highest power.
     """
     out = {}
     for mode in NormalizationMode:
@@ -366,9 +368,7 @@ def _bilinear_coefficients(r, fc, edges, whole) -> dict:
                               for x, y in ((0, 0), (1, 0), (0, 1), (1, 1)))
         coeffs = (l00, l10 - l00, l01 - l00, l11 - l10 - l01 + l00)
         den = math.lcm(*(k.denominator for k in coeffs))
-        ks = (*(k.numerator * (den // k.denominator) for k in coeffs), den)
-        g = math.gcd(*ks)
-        out[mode] = tuple(k // g for k in ks)
+        out[mode] = (*(k.numerator * (den // k.denominator) for k in coeffs), den)
     return out
 
 

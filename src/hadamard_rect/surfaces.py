@@ -258,19 +258,17 @@ def _power_sum(terms, u: np.ndarray, v: np.ndarray, acc):
     """acc plus c u^al v^be over terms (c, al, be). A term is 0 where one
     factor is an exact zero and the other's exponent is >= 0, even where
     that other factor overflows; a zero to a negative power stays a pole.
-    Only a sum that is not finite pays for that check."""
+    Only a term that is not finite pays for that check. An overflow or an
+    invalid operation shows as inf or NaN without numpy's warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = acc
         for c, al, be in terms:
-            out = out + c * np.power(u, al) * np.power(v, be)
-    if np.isfinite(out).all():
-        return out
-    for c, al, be in terms:
-        with np.errstate(over="ignore"):      # an overflow shows as inf
             pu, pv = np.power(u, al), np.power(v, be)
-        pu = np.where((v == 0.0) & (be > 0.0) & (al >= 0.0) & np.isinf(pu), 0.0, pu)
-        pv = np.where((u == 0.0) & (al > 0.0) & (be >= 0.0) & np.isinf(pv), 0.0, pv)
-        acc = acc + c * pu * pv
+            term = c * pu * pv
+            if not (math.isfinite(term) if term.ndim == 0 else np.isfinite(term).all()):
+                pu = np.where((v == 0.0) & (be > 0.0) & (al >= 0.0) & np.isinf(pu), 0.0, pu)
+                pv = np.where((u == 0.0) & (al > 0.0) & (be >= 0.0) & np.isinf(pv), 0.0, pv)
+                term = c * pu * pv
+            acc = acc + term
     return acc
 
 
