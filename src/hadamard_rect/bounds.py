@@ -29,6 +29,7 @@ import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -37,10 +38,10 @@ from .domain import (EvalPoint, NormalizationMode, PowerMeanQ,
                      PrefactorMode, Rect, SExponent, make_holder_pair)
 from .identity import lemma_lhs, lemma_lhs_at
 from .quad import (DEEP, QuadConfig, integrate_1d, integrate_2d,
-                   holder_kernel_constant, poly1d_integral_exact,
-                   poly_integral_exact, power_mean_prefactor)
+                   holder_kernel_constant, poly_integral_exact,
+                   power_mean_prefactor)
 from .surfaces import (EvalError, SamplerConfig, Surface, Verdict,
-                       certify_coordinated)
+                       certify_coordinated, power_integrals, powers)
 
 __all__ = [
     "TheoremId", "Corner", "BoundReport", "ChainEvaluation", "family_rhs",
@@ -447,12 +448,14 @@ def remark_aggregate(remark: TheoremId, f: Surface, rect: Rect, s: float,
 def _mean_1d(f: Surface, fixed: str, coord: float, lo: float, hi: float,
              cfg: QuadConfig) -> float:
     """Mean of a section f(., coord) or f(coord, .) over [lo, hi]."""
-    if f.poly is not None:
-        from fractions import Fraction
-        coeffs = (f.poly.restrict_v(Fraction(coord)) if fixed == "v"
-                  else f.poly.restrict_u(Fraction(coord)))
-        return float(poly1d_integral_exact(coeffs, Fraction(lo), Fraction(hi))
-                     / (Fraction(hi) - Fraction(lo)))
+    p = f.poly
+    if p is not None:
+        lo, hi, coord = Fraction(lo), Fraction(hi), Fraction(coord)
+        if fixed == "v":
+            total = p.contract(power_integrals(lo, hi, p.degree_u), powers(coord, p.degree_v))
+        else:
+            total = p.contract(powers(coord, p.degree_u), power_integrals(lo, hi, p.degree_v))
+        return float(total / (hi - lo))
     if fixed == "v":
         g = lambda u: f.fn(u, np.full_like(np.asarray(u, float), coord))
     else:

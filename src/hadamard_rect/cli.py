@@ -412,9 +412,17 @@ def cmd_scan(ns) -> int:
         if gap.argmin is not None:
             human.append(f"  min margin {_fmt(gap.min_margin)} at "
                          f"({_fmt(gap.argmin[0])}, {_fmt(gap.argmin[1])})")
+        evaluated = gap.grid_shape[0] * gap.grid_shape[1] - len(gap.errors)
         if gap.errors:
             human.append(f"  {len(gap.errors)} cells failed to evaluate")
-        human.append("no violations" if not violation else "VIOLATION on the lattice")
+        if violation:
+            human.append("VIOLATION on the lattice")
+        elif not evaluated:
+            human.append("no cell evaluated: nothing decided")
+        elif gap.errors:
+            human.append(f"no violations on the {evaluated} evaluated cells")
+        else:
+            human.append("no violations")
     else:
         _inapplicable(ns, "grid", "applies only to gap scans")
         pt = _get_point(ns, rect)

@@ -37,8 +37,11 @@ one integer den, so the left side at x = nx/dx, y = ny/dy is
 one correctly rounded integer division: float() of the rational formula.
 The integers are read off _lhs_combination, the one left-side formula:
 its rational values at the unit square's corners give the four bilinear
-coefficients. The rational right side composes D with each quadrant's
-affine map and integrates against the kernel by its moments,
+coefficients. Every rational quantity is one contraction
+sum c_ij alpha_i beta_j of a coefficient grid (Poly2.contract): the corner
+values with powers of the corner's coordinates, the edge and area
+integrals with integrals of powers over the sides, and each quadrant term
+with D composed onto the quadrant's affine map and the kernel's moments,
 integral_0^1 (1-t) t^k dt = 1 / ((k+1)(k+2)), without forming the product.
 """
 from __future__ import annotations
@@ -52,8 +55,8 @@ from functools import lru_cache
 import numpy as np
 
 from .domain import EvalPoint, NormalizationMode, Rect
-from .quad import QuadConfig, integrate_1d, integrate_2d, poly1d_integral_exact, poly_integral_exact
-from .surfaces import EvalError, Poly2, Surface
+from .quad import QuadConfig, integrate_1d, integrate_2d
+from .surfaces import EvalError, Poly2, Surface, kernel_moments, power_integrals, powers
 
 __all__ = [
     "LemmaEvaluation", "ExactLemmaEvaluation", "corner_term_A", "lemma_lhs",
@@ -140,27 +143,12 @@ def corner_term_A(f: Surface, rect: Rect, pt: EvalPoint,
 _LHS_MEMO_SIZE = 128
 
 
-@dataclass(frozen=True, eq=False)
-class _Same:
-    """A Surface keyed by identity, as hashing its value costs microseconds;
-    the memo holds it, so its id() is not reused while it is a key."""
-
-    f: Surface
-
-    def __hash__(self):
-        return id(self.f)
-
-    def __eq__(self, other):
-        return self.f is other.f
-
-
 @lru_cache(maxsize=_LHS_MEMO_SIZE)
-def _lhs_parts(same: _Same, rect: Rect, cfg: QuadConfig | None):
-    """The left side of same.f over rect up to the point. When cfg is None,
+def _lhs_parts(f: Surface, rect: Rect, cfg: QuadConfig | None):
+    """The left side of f over rect up to the point. When cfg is None,
     _bilinear_coefficients of its rational parts; under cfg, (rect
     coordinates, corner values, edge integrals, area integral) by
     Gauss-Legendre. Errors propagate and are not remembered."""
-    f = same.f
     if cfg is None:
         return _bilinear_coefficients(rect.exact(), *_exact_parts(f.poly, rect))
     a, b, c, d = r = (rect.a, rect.b, rect.c, rect.d)
@@ -205,14 +193,14 @@ def lemma_lhs_at(f: Surface, rect: Rect,
     """
     mode = NormalizationMode(mode)
     if use_exact and f.poly is not None:
-        ks = _lhs_parts(_Same(f), rect, None)[mode]
+        ks = _lhs_parts(f, rect, None)[mode]
 
         def at(pt: EvalPoint) -> float:
             _check_point(rect, pt)
             return _exact_lhs(f, ks, pt.x, pt.y)
 
         return at
-    r, fc, edges, whole = _lhs_parts(_Same(f), rect, cfg)
+    r, fc, edges, whole = _lhs_parts(f, rect, cfg)
 
     def at(pt: EvalPoint) -> float:
         _check_point(rect, pt)
@@ -238,10 +226,10 @@ def lemma_lhs_lattice(f: Surface, rect: Rect, xs, ys,
     _check_point(rect, EvalPoint(min(xs), min(ys)))
     _check_point(rect, EvalPoint(max(xs), max(ys)))
     if f.poly is None:
-        r, fc, edges, whole = _lhs_parts(_Same(f), rect, cfg)
+        r, fc, edges, whole = _lhs_parts(f, rect, cfg)
         with np.errstate(over="ignore", invalid="ignore"):   # as Python floats are
             return _lhs_combination(r, *np.meshgrid(xs, ys), fc, edges, whole, mode), {}
-    ks = _lhs_parts(_Same(f), rect, None)[mode]
+    ks = _lhs_parts(f, rect, None)[mode]
     out = np.empty((len(ys), len(xs)))
     failed = {}
     for iy, y in enumerate(ys):
@@ -340,14 +328,15 @@ def lemma_residual(f: Surface, rect: Rect, pt: EvalPoint,
 
 def _exact_parts(p: Poly2, rect: Rect):
     """Corner values, edge integrals and area integral of p over rect, in
-    rational arithmetic, ordered as _lhs_combination takes them."""
+    rational arithmetic, ordered as _lhs_combination takes them: each one
+    contraction of p with powers of a coordinate or integrals of powers."""
     a, b, c, d = rect.exact()
-    fc = (p.eval_exact(a, c), p.eval_exact(a, d), p.eval_exact(b, c), p.eval_exact(b, d))
-    edges = (poly1d_integral_exact(p.restrict_u(a), c, d),
-             poly1d_integral_exact(p.restrict_u(b), c, d),
-             poly1d_integral_exact(p.restrict_v(d), a, b),
-             poly1d_integral_exact(p.restrict_v(c), a, b))
-    return fc, edges, poly_integral_exact(p, rect)
+    ua, ub = powers(a, p.degree_u), powers(b, p.degree_u)
+    vc, vd = powers(c, p.degree_v), powers(d, p.degree_v)
+    iu, iv = power_integrals(a, b, p.degree_u), power_integrals(c, d, p.degree_v)
+    fc = (p.contract(ua, vc), p.contract(ua, vd), p.contract(ub, vc), p.contract(ub, vd))
+    edges = (p.contract(ua, iv), p.contract(ub, iv), p.contract(iu, vd), p.contract(iu, vc))
+    return fc, edges, p.contract(iu, iv)
 
 
 def _bilinear_coefficients(r, fc, edges, whole) -> dict:
@@ -381,28 +370,19 @@ def _ratio(v) -> tuple[int, int]:
         return q.numerator, q.denominator
 
 
-def _kernel_integral(p: Poly2) -> Fraction:
-    """II[(1-t)(1-l) p(t, l)] over the unit square, from the kernel's
-    moments: integral_0^1 (1-t) t^k dt = 1 / ((k+1)(k+2))."""
-    total = Fraction(0)
-    for i, row in enumerate(p.coeffs):
-        inner = sum((cv / ((j + 1) * (j + 2)) for j, cv in enumerate(row) if cv), Fraction(0))
-        total += inner / ((i + 1) * (i + 2))
-    return total
-
-
 def _exact_rhs_terms(p: Poly2, r, x: Fraction, y: Fraction) -> tuple[Fraction, ...]:
     """The quadrant terms of p at (x, y) in rational arithmetic; r = (a, b, c, d)."""
     a, b, c, d = r
     area = (b - a) * (d - c)
     mixed = p.mixed_partial_poly()
+    ku, kv = kernel_moments(mixed.degree_u), kernel_moments(mixed.degree_v)
     terms = []
     for sign, weight, uc, vc in _quadrants(r, x, y):
         if weight == 0:
             terms.append(Fraction(0))
             continue
         composed = mixed.compose_affine(uc, x - uc, vc, y - vc)
-        terms.append(sign * weight / area * _kernel_integral(composed))
+        terms.append(sign * weight / area * composed.contract(ku, kv))
     return tuple(terms)
 
 

@@ -1,6 +1,7 @@
 """Quadrature: Gauss-Legendre with adaptive subdivision, plus exact
-rational integration for polynomial surfaces and the closed-form kernel
-constants the bounds are built from.
+rational integration for polynomial surfaces (one Poly2.contract with the
+integrals of powers over the sides) and the closed-form kernel constants
+the bounds are built from.
 
 Nodes and weights come from Newton iteration on the Legendre polynomials
 (cached per order) so results are reproducible across platforms to ~1e-15.
@@ -20,13 +21,12 @@ from functools import lru_cache
 import numpy as np
 
 from .domain import PrefactorMode, Rect
-from .surfaces import EvalError, Poly2
+from .surfaces import EvalError, Poly2, power_integrals
 
 __all__ = [
     "QuadConfig", "IntegralResult", "ToleranceNotMet", "gauss_legendre",
-    "integrate_1d", "integrate_2d", "poly_integral_exact",
-    "poly1d_integral_exact", "kernel_moment", "holder_kernel_constant",
-    "power_mean_prefactor",
+    "integrate_1d", "integrate_2d", "poly_integral_exact", "kernel_moment",
+    "holder_kernel_constant", "power_mean_prefactor",
 ]
 
 
@@ -231,31 +231,10 @@ def integrate_2d(f, rect: Rect, cfg: QuadConfig = QuadConfig()) -> IntegralResul
 # exact rational integration
 # ---------------------------------------------------------------------------
 
-def poly1d_integral_exact(coeffs, lo: Fraction, hi: Fraction) -> Fraction:
-    """Integral of sum coeffs[k] t^k over [lo, hi], exactly."""
-    total = Fraction(0)
-    lo_pow = lo
-    hi_pow = hi
-    for k, cv in enumerate(coeffs):
-        if cv != 0:
-            total += cv * (hi_pow - lo_pow) / (k + 1)
-        lo_pow *= lo
-        hi_pow *= hi
-    return total
-
-
 def poly_integral_exact(p: Poly2, rect: Rect) -> Fraction:
     """Double integral of p over rect in rational arithmetic."""
     a, b, c, d = rect.exact()
-    total = Fraction(0)
-    for i, row in enumerate(p.coeffs):
-        ui = (b ** (i + 1) - a ** (i + 1)) / (i + 1)
-        if ui == 0:
-            continue
-        for j, cv in enumerate(row):
-            if cv != 0:
-                total += cv * ui * (d ** (j + 1) - c ** (j + 1)) / (j + 1)
-    return total
+    return p.contract(power_integrals(a, b, p.degree_u), power_integrals(c, d, p.degree_v))
 
 
 # ---------------------------------------------------------------------------

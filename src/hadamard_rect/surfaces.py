@@ -29,7 +29,8 @@ __all__ = [
     "const_surface", "power_surface", "scaled", "catalog", "catalog_lookup",
     "CatalogEntry", "SamplerConfig", "Witness", "CertificationReport",
     "Verdict", "certify_s_convex_second_sense", "certify_coordinated",
-    "replay_witness", "finite_difference_mixed",
+    "replay_witness", "finite_difference_mixed", "powers", "power_integrals",
+    "kernel_moments",
 ]
 
 
@@ -106,13 +107,17 @@ class Poly2:
         return out if out.shape else float(out)
 
     def eval_exact(self, u: Fraction, v: Fraction) -> Fraction:
-        # Horner in u, inner Horner in v
+        return self.contract(powers(u, self.degree_u), powers(v, self.degree_v))
+
+    def contract(self, alpha, beta) -> Fraction:
+        """sum c[i][j] alpha[i] beta[j] over the nonzero coefficients; alpha
+        and beta hold at least degree_u + 1 and degree_v + 1 entries. With
+        powers of a point it is a value, with power_integrals an integral."""
         total = Fraction(0)
-        for row in reversed(self.coeffs):
-            inner = Fraction(0)
-            for cv in reversed(row):
-                inner = inner * v + cv
-            total = total * u + inner
+        for ai, row in zip(alpha, self.coeffs):
+            inner = sum((cv * bj for cv, bj in zip(row, beta) if cv), Fraction(0))
+            if inner:
+                total += ai * inner
         return total
 
     def mixed_partial_poly(self) -> "Poly2":
@@ -125,24 +130,6 @@ class Poly2:
             for i in range(du)
         )
         return Poly2(grid)
-
-    def restrict_u(self, u0: Fraction) -> tuple[Fraction, ...]:
-        """Coefficients in v of f(u0, v)."""
-        out = [Fraction(0)] * (self.degree_v + 1)
-        for row in reversed(self.coeffs):
-            for j in range(len(out)):
-                out[j] = out[j] * u0 + row[j]
-        return tuple(out)
-
-    def restrict_v(self, v0: Fraction) -> tuple[Fraction, ...]:
-        """Coefficients in u of f(u, v0)."""
-        out = []
-        for row in self.coeffs:
-            acc = Fraction(0)
-            for cv in reversed(row):
-                acc = acc * v0 + cv
-            out.append(acc)
-        return tuple(out)
 
     def compose_affine(self, pu: Fraction, qu: Fraction, pv: Fraction, qv: Fraction) -> "Poly2":
         """Exact substitution u = pu + qu*t, v = pv + qv*l; result in (t, l)."""
@@ -171,6 +158,25 @@ class Poly2:
         return Poly2(tuple(tuple(k * cv for cv in row) for row in self.coeffs))
 
 
+def powers(x: Fraction, n: int) -> tuple[Fraction, ...]:
+    """x^k for k = 0..n."""
+    out = [Fraction(1)]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return tuple(out)
+
+
+def power_integrals(lo: Fraction, hi: Fraction, n: int) -> tuple[Fraction, ...]:
+    """integral_lo^hi t^k dt = (hi^(k+1) - lo^(k+1)) / (k+1) for k = 0..n."""
+    lo_pow, hi_pow = powers(lo, n + 1), powers(hi, n + 1)
+    return tuple((hi_pow[k + 1] - lo_pow[k + 1]) / (k + 1) for k in range(n + 1))
+
+
+def kernel_moments(n: int) -> tuple[Fraction, ...]:
+    """integral_0^1 (1-t) t^k dt = 1 / ((k+1)(k+2)) for k = 0..n."""
+    return tuple(Fraction(1, (k + 1) * (k + 2)) for k in range(n + 1))
+
+
 def _affine_mul(coeffs: list[Fraction], p: Fraction, q: Fraction) -> list[Fraction]:
     # multiply a 1d polynomial (in t) by (p + q t)
     out = [Fraction(0)] * (len(coeffs) + 1)
@@ -193,17 +199,20 @@ def finite_difference_mixed(fn: Callable, u, v):
     v = np.asarray(v, dtype=float)
     h1 = np.maximum(1e-4, 1e-4 * np.abs(u))
     h2 = np.maximum(1e-4, 1e-4 * np.abs(v))
-    val = (fn(u + h1, v + h2) - fn(u + h1, v - h2)
-           - fn(u - h1, v + h2) + fn(u - h1, v - h2)) / (4.0 * h1 * h2)
+    with np.errstate(over="ignore", invalid="ignore"):     # inf - inf is NaN
+        val = (fn(u + h1, v + h2) - fn(u + h1, v - h2)
+               - fn(u - h1, v + h2) + fn(u - h1, v - h2)) / (4.0 * h1 * h2)
     return val if np.ndim(val) else float(val)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Surface:
     """A function f(u, v), its mixed partial, and whatever exact structure it has.
 
     fn and mixed_fn accept scalars or numpy arrays. mixed_fn is None for
     NUMERIC_ONLY surfaces, in which case the finite-difference fallback is used.
+    A surface compares and hashes by identity, so the memos that key on it
+    cost no more than an id().
     """
 
     name: str
@@ -513,7 +522,10 @@ def parse_surface(text: str, name: str | None = None) -> Surface:
         )
 
     def fn(u, v):
-        return _ast_eval(ast, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        # an overflow or invalid operation shows as inf or NaN, which the
+        # Surface raises as EvalError, without numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _ast_eval(ast, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
     return Surface(name=label, fn=fn)
 

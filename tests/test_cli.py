@@ -517,6 +517,14 @@ def test_scan_cells_whose_right_side_overflows_are_error_cells(args, capsys):
     assert all(r["rhs"] is None and r["margin"] is None for r in report["results"])
 
 
+def test_a_scan_with_failed_cells_claims_only_the_cells_it_evaluated(capsys):
+    # (b - x)^2 overflows a float at x = a and x = b, not at the midpoint
+    assert cli.main(["scan", "--theorem", "t1", "--catalog", "uv",
+                     "--rect", "0,1.5e154,0,1", "--grid", "2"]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "  6 cells failed to evaluate", "no violations on the 3 evaluated cells"]
+
+
 def test_empty_source_date_epoch_reads_as_unset(monkeypatch, capsys):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "")
     assert cli.main(["lemma", "--catalog", "uv", "--format", "json"]) == 0

@@ -9,9 +9,8 @@ from hadamard_rect.quad import (DEEP, IntegralResult, QuadConfig,
                                 ToleranceNotMet, gauss_legendre,
                                 holder_kernel_constant, integrate_1d,
                                 integrate_2d, kernel_moment,
-                                poly1d_integral_exact, poly_integral_exact,
-                                power_mean_prefactor)
-from hadamard_rect.surfaces import EvalError, Poly2
+                                poly_integral_exact, power_mean_prefactor)
+from hadamard_rect.surfaces import EvalError, Poly2, power_integrals, powers
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 16, 32, 64])
@@ -105,11 +104,13 @@ def test_quad_config_validation():
         QuadConfig(abs_tol=0.0)
 
 
-def test_poly1d_integral_exact():
-    # int_1^3 (2 + t^2) dt = 2*2 + 26/3
-    got = poly1d_integral_exact((Fraction(2), Fraction(0), Fraction(1)),
-                                Fraction(1), Fraction(3))
-    assert got == Fraction(4) + Fraction(26, 3)
+def test_edge_integral_by_contraction():
+    # int_1^3 (2 + t^2) dt = 2*2 + 26/3, as the section u -> p(u, 5) of
+    # p(u, v) = 2 + u^2 and as the area integral over [1, 3] x [0, 1]
+    p = Poly2.from_dict({(0, 0): 2, (2, 0): 1})
+    want = Fraction(4) + Fraction(26, 3)
+    assert p.contract(power_integrals(Fraction(1), Fraction(3), 2), powers(Fraction(5), 0)) == want
+    assert poly_integral_exact(p, Rect(1, 3, 0, 1)) == want
 
 
 def test_poly_integral_exact_vs_quadrature():

@@ -14,12 +14,13 @@ from hadamard_rect.surfaces import (_LAMBDA_GRID, _N_PAIRS, _N_SECTIONS,
                                     DomainNotNonnegative, EvalError,
                                     ParseError, Poly2, SamplerConfig,
                                     SurfaceKind, UnknownSurface, Verdict,
-                                    Witness,
+                                    Witness, MAX_POLY_DEGREE,
                                     catalog, catalog_lookup,
                                     certify_coordinated,
                                     certify_s_convex_second_sense,
                                     const_surface, finite_difference_mixed,
-                                    parse_surface, poly_surface,
+                                    kernel_moments, parse_surface,
+                                    poly_surface, power_integrals, powers,
                                     replay_witness, scaled)
 
 
@@ -152,6 +153,50 @@ def test_mixed_partial_poly_is_exact_derivative():
     p = Poly2.from_dict({(2, 2): 1})      # d2/dudv (u^2 v^2) = 4uv
     m = p.mixed_partial_poly()
     assert m.eval_exact(Fraction(3), Fraction(5)) == 60
+
+
+_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+_polys = st.dictionaries(st.tuples(st.integers(0, MAX_POLY_DEGREE), st.integers(0, MAX_POLY_DEGREE)),
+                         _fracs, max_size=12).map(Poly2.from_dict)
+
+
+def _brute(p, alpha, beta):
+    """sum c_ij alpha(i) beta(j) over every coefficient, zeros included."""
+    return sum(cv * alpha(i) * beta(j)
+               for i, row in enumerate(p.coeffs) for j, cv in enumerate(row))
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=_polys, u=_fracs, v=_fracs, lo=_fracs, hi=_fracs)
+def test_contraction_is_the_brute_force_sum(p, u, v, lo, hi):
+    du, dv = p.degree_u, p.degree_v
+    pow_u, pow_v = (lambda i: u ** i), (lambda j: v ** j)
+    integral = lambda k: (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)   # antiderivative of t^k
+    moment = lambda k: Fraction(1, k + 1) - Fraction(1, k + 2)        # of (1-t) t^k on [0, 1]
+    value = _brute(p, pow_u, pow_v)
+    assert p.contract(powers(u, du), powers(v, dv)) == value
+    assert p.eval_exact(u, v) == value
+    assert p.contract(power_integrals(lo, hi, du), powers(v, dv)) == _brute(p, integral, pow_v)
+    assert p.contract(powers(u, du), power_integrals(lo, hi, dv)) == _brute(p, pow_u, integral)
+    assert (p.contract(power_integrals(lo, hi, du), power_integrals(u, v, dv))
+            == _brute(p, integral, lambda j: (v ** (j + 1) - u ** (j + 1)) / (j + 1)))
+    assert p.contract(kernel_moments(du), kernel_moments(dv)) == _brute(p, moment, moment)
+
+
+def test_a_numeric_only_surface_raises_eval_error_without_a_numpy_warning():
+    f = parse_surface("(u-v)^2.5")
+    assert f.kind is SurfaceKind.NUMERIC_ONLY
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalError):
+            f(0.0, 1.0)
+        with pytest.raises(EvalError):
+            f.mixed_partial(0.0, 1.0)
+        assert f(3.0, 2.0) == 1.0
+        # values that overflow to inf leave the finite difference as NaN
+        g = parse_surface("(u*1000000000000+1)^30.5")
+        with pytest.raises(EvalError):
+            g.mixed_partial(1e8, 1.0)
 
 
 def test_finite_difference_tracks_exact_mixed_partial():
