@@ -2,8 +2,11 @@
 of |d^2 f / du dv| (or its q-th power), plus the five-term mean chain.
 
 Three families, each written once as a function of |D| on the nine points
-{a, x, b} x {c, y, d}, which one mixed-partial call per point evaluates
-(consecutive bound calls at one point share it). A lattice scan evaluates
+{a, x, b} x {c, y, d}, which one mixed-partial call per point evaluates.
+A table for the last (f, rect) keeps that stencil at up to
+_STENCIL_MEMO_SIZE points, and at each point the quadrant sums t2 and t3
+take, per (q, edge weight, corner weight): every family, s, constant mode
+and specialization at a point shares them. A lattice scan evaluates
 every cell's nine with one call on the lattice and runs the same formula
 once, on arrays in place of the floats:
 
@@ -36,7 +39,7 @@ import numpy as np
 
 from .domain import (EvalPoint, NormalizationMode, PowerMeanQ,
                      PrefactorMode, Rect, SExponent, make_holder_pair)
-from .identity import lemma_lhs, lemma_lhs_at
+from .identity import _check_point, lemma_lhs, lemma_lhs_at
 from .quad import (DEEP, QuadConfig, integrate_1d, integrate_2d,
                    holder_kernel_constant, poly_integral_exact,
                    power_mean_prefactor)
@@ -179,28 +182,6 @@ def _params(rect: Rect, pt: EvalPoint | None, s: float, mode: NormalizationMode,
 # power a **, so that each cell keeps the point path's bits.
 # ---------------------------------------------------------------------------
 
-# (f, rect, pt, D) of the last _stencil call, shared by every family at pt
-_last_stencil = None
-
-
-def _stencil(f: Surface, rect: Rect, pt: EvalPoint) -> Stencil:
-    """|D| on {a, x, b} x {c, y, d} from one mixed-partial call, or from
-    the last call when it had this f (by identity), rect and pt.
-
-    D[i][j] is |D| at the i-th of (a, x, b) and the j-th of (c, y, d).
-    """
-    global _last_stencil
-    last = _last_stencil
-    if last is not None and last[0] is f and last[1] == rect and last[2] == pt:
-        return last[3]
-    a, b, x = rect.a, rect.b, pt.x
-    u = np.array(((a, a, a), (x, x, x), (b, b, b)), dtype=float)
-    v = np.array(((rect.c, pt.y, rect.d),) * 3, dtype=float)
-    D = tuple(map(tuple, np.abs(f.mixed_partial(u, v)).tolist()))
-    _last_stencil = (f, rect, pt, D)
-    return D
-
-
 def _t1(D: Stencil, rect: Rect, pt: EvalPoint, s: float) -> float:
     """First-power bound, grouped by evaluation point."""
     x, y = pt.x, pt.y
@@ -248,14 +229,15 @@ _FAMILY_MEMO_SIZE = 256
 @lru_cache(maxsize=_FAMILY_MEMO_SIZE)
 def family_stencil_rhs(theorem: TheoremId, s: float, q: float | None = None,
                        constant_mode: PrefactorMode = PrefactorMode.VERBATIM
-                       ) -> Callable[[Stencil, Rect, EvalPoint], float]:
+                       ) -> Callable[..., float]:
     """The right side of family t1, t2 or t3 as a function of (D, rect, pt),
     where D[i][j] is |D| at the i-th of (a, x, b) and the j-th of (c, y, d).
 
     s and q are checked here, once, so a caller can check them before it
     computes any left side. A lattice scan takes every cell's D from one
     mixed-partial call on the whole lattice and calls the evaluator once,
-    with arrays for D and pt. The last _FAMILY_MEMO_SIZE
+    with arrays for D and pt. The point path passes a fourth argument, the
+    point's memoized stand-in for _quadrant_sum. The last _FAMILY_MEMO_SIZE
     argument sets keep their evaluator; a bad s or q raises on every call
     and is not kept.
     """
@@ -264,16 +246,75 @@ def family_stencil_rhs(theorem: TheoremId, s: float, q: float | None = None,
     SExponent(s)
     s1 = s + 1.0
     if theorem is TheoremId.T1:
-        return lambda D, rect, pt: _t1(D, rect, pt, s)
+        return lambda D, rect, pt, quadrant_sum=None: _t1(D, rect, pt, s)
     if q is None:
         raise ValueError(f"the {_FAMILY_NAMES[theorem]} family needs q")
     if theorem is TheoremId.T2:
         kernel = holder_kernel_constant(make_holder_pair(q).p)
-        return lambda D, rect, pt: (
-            _quadrant_sum(D, rect, pt, q, 1.0, 1.0) * kernel / s1 ** (2.0 / q))
+        return lambda D, rect, pt, quadrant_sum=_quadrant_sum: (
+            quadrant_sum(D, rect, pt, q, 1.0, 1.0) * kernel / s1 ** (2.0 / q))
     PowerMeanQ(q)
     scale = power_mean_prefactor(q, constant_mode) / (s1 * (s + 2.0)) ** (2.0 / q)
-    return lambda D, rect, pt: scale * _quadrant_sum(D, rect, pt, q, s1, s1 ** 2)
+    return lambda D, rect, pt, quadrant_sum=_quadrant_sum: (
+        scale * quadrant_sum(D, rect, pt, q, s1, s1 ** 2))
+
+
+# |D| stencils of the last (f, rect), f matched by identity: up to
+# _STENCIL_MEMO_SIZE points, enough for a specialization group's four
+# corners and midpoint, each held as (D, the point's quadrant_sum). A new
+# (f, rect) replaces the table; a failed stencil never enters it.
+_STENCIL_MEMO_SIZE = 8
+_stencils = None   # (f, rect, {(x, y): (D, quadrant_sum)})
+
+
+def _point_quadrant_sum() -> Callable[..., float]:
+    """_quadrant_sum at one point, keeping each (q, edge weight, corner
+    weight)'s sum: t2 takes one sum per q for every s, t3 one per (q, s)
+    for both constant modes. An exception is never kept."""
+    sums = {}
+
+    def quadrant_sum(D: Stencil, rect: Rect, pt: EvalPoint, q: float,
+                     edge_w: float, corner_w: float) -> float:
+        key = (q, edge_w, corner_w)
+        total = sums.get(key)
+        if total is None:
+            if len(sums) >= _FAMILY_MEMO_SIZE:
+                del sums[next(iter(sums))]
+            total = sums[key] = _quadrant_sum(D, rect, pt, q, edge_w, corner_w)
+        return total
+
+    return quadrant_sum
+
+
+def _stencil(f: Surface, rect: Rect, pt: EvalPoint
+             ) -> tuple[Stencil, Callable[..., float]]:
+    """|D| on {a, x, b} x {c, y, d} and the point's quadrant_sum, from one
+    mixed-partial call, or from the table when it holds f (by identity),
+    rect and pt. A point outside rect raises ValueError before f is
+    evaluated, as lemma_lhs does.
+
+    D[i][j] is |D| at the i-th of (a, x, b) and the j-th of (c, y, d).
+    """
+    global _stencils
+    table, key = _stencils, (pt.x, pt.y)
+    points = table[2] if table is not None and table[0] is f and table[1] == rect else None
+    if points is not None:
+        entry = points.get(key)
+        if entry is not None:
+            return entry
+    _check_point(rect, pt)
+    a, b, x = rect.a, rect.b, pt.x
+    u = np.array(((a, a, a), (x, x, x), (b, b, b)), dtype=float)
+    v = np.array(((rect.c, pt.y, rect.d),) * 3, dtype=float)
+    entry = (tuple(map(tuple, np.abs(f.mixed_partial(u, v)).tolist())),
+             _point_quadrant_sum())
+    if points is None:
+        points = {}
+        _stencils = (f, rect, points)
+    elif len(points) >= _STENCIL_MEMO_SIZE:
+        del points[next(iter(points))]
+    points[key] = entry
+    return entry
 
 
 def family_rhs(theorem: TheoremId, s: float, q: float | None = None,
@@ -281,15 +322,18 @@ def family_rhs(theorem: TheoremId, s: float, q: float | None = None,
                ) -> Callable[[Surface, Rect, EvalPoint], float]:
     """The right side of family t1, t2 or t3 as a function of (f, rect, pt).
 
-    s and q are checked here, once. Each evaluation makes one
-    mixed-partial call, on the point's nine-point stencil. A power too
-    large for a float raises EvalError naming the family, f and pt.
+    s and q are checked here, once. Each evaluation reads the point's
+    stencil and quadrant sums from the table of the last (f, rect), where
+    one mixed-partial call on the nine-point stencil fills them. A point
+    outside rect raises ValueError; a power too large for a float raises
+    EvalError naming the family, f and pt.
     """
     on_stencil = family_stencil_rhs(theorem, s, q, constant_mode)
 
     def rhs(f: Surface, rect: Rect, pt: EvalPoint) -> float:
         try:
-            return on_stencil(_stencil(f, rect, pt), rect, pt)
+            D, quadrant_sum = _stencil(f, rect, pt)
+            return on_stencil(D, rect, pt, quadrant_sum)
         except OverflowError:
             raise EvalError(f"{theorem.value} right side of {f.name} overflows a float "
                             f"at ({pt.x}, {pt.y})") from None

@@ -267,9 +267,10 @@ def _power_sum(terms, u: np.ndarray, v: np.ndarray, acc):
     """acc plus c u^al v^be over terms (c, al, be). A term is 0 where one
     factor is an exact zero and the other's exponent is >= 0, even where
     that other factor overflows; a zero to a negative power stays a pole.
-    Only a term that is not finite pays for that check. An overflow or an
-    invalid operation shows as inf or NaN without numpy's warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    Only a term that is not finite pays for that check. An overflow, a
+    pole or an invalid operation shows as inf or NaN without numpy's
+    warning."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for c, al, be in terms:
             pu, pv = np.power(u, al), np.power(v, be)
             term = c * pu * pv

@@ -10,5 +10,5 @@ from hadamard_rect import bounds, identity, surfaces
 def empty_memos():
     surfaces.parse_surface.cache_clear()
     identity._lhs_parts.cache_clear()
-    bounds._last_stencil = None
+    bounds._stencils = None
     bounds.family_stencil_rhs.cache_clear()

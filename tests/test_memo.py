@@ -8,9 +8,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadamard_rect import bounds, cli, identity
-from hadamard_rect.bounds import t1_rhs, t2_rhs, t3_rhs
+from hadamard_rect.bounds import (Corner, TheoremId, corner_report, midpoint_report,
+                                  remark_aggregate, t1_rhs, t2_rhs, t3_rhs)
 from hadamard_rect.domain import EvalPoint, NormalizationMode, PrefactorMode, Rect
 from hadamard_rect.identity import lemma_lhs
 from hadamard_rect.quad import ToleranceNotMet
@@ -23,7 +26,7 @@ POINTS = (EvalPoint(0.5, 1.0), EvalPoint(1.25, 2.5), EvalPoint(2.5, 3.0), OFF.mi
 
 def _empty_memos():
     identity._lhs_parts.cache_clear()
-    bounds._last_stencil = None
+    bounds._stencils = None
     bounds.family_stencil_rhs.cache_clear()
 
 
@@ -80,7 +83,7 @@ def test_errors_are_raised_again_and_never_remembered():
         for _ in range(2):
             with pytest.raises(EvalError, match="nan"):
                 t1_rhs(f, UNIT, UNIT.midpoint(), 0.5)
-    assert bounds._last_stencil is None
+    assert bounds._stencils is None
     # the left side of u^0.5*v^0.5 misses the default tolerance on [0,1]^2
     g = parse_surface("u^0.5*v^0.5")
     for _ in range(2):
@@ -100,6 +103,137 @@ def test_left_side_table_stays_within_its_bound():
     misses = identity._lhs_parts.cache_info().misses
     assert lemma_lhs(f, rects[0], EvalPoint(0.5, 0.5)) == first
     assert identity._lhs_parts.cache_info().misses == misses + 1
+
+
+# ---------------------------------------------------------------------------
+# the stencil table: one |D| stencil and one quadrant sum per point
+# ---------------------------------------------------------------------------
+
+def _counting(monkeypatch, f):
+    """f with its mixed partial counted, and bounds._quadrant_sum counted:
+    returns the copy and the two call lists."""
+    mixed, sums = [], []
+    quadrant_sum = bounds._quadrant_sum
+    monkeypatch.setattr(bounds, "_quadrant_sum",
+                        lambda *args: sums.append(1) or quadrant_sum(*args))
+    g = dataclasses.replace(f, mixed_fn=lambda u, v: mixed.append(1) or f.mixed_fn(u, v))
+    return g, mixed, sums
+
+
+def test_a_battery_point_takes_one_stencil_and_one_sum_per_q_and_weights(monkeypatch):
+    f, mixed, sums = _counting(monkeypatch, catalog_lookup("u2.5v2"))
+    pt = POINTS[1]
+    rhs = []
+    for s in (0.25, 0.5, 0.75, 1.0):
+        rhs.append(t1_rhs(f, OFF, pt, s))
+        rhs += [t2_rhs(f, OFF, pt, s, q) for q in (1.5, 2.0, 3.0)]
+        rhs += [t3_rhs(f, OFF, pt, s, q, mode) for q in (1.0, 2.0, 4.0) for mode in PrefactorMode]
+    assert len(rhs) == 40
+    # t2's sum is the same at every s (weights 1, 1); t3's in both
+    # constant modes: 3 Holder sums and 3 x 4 power-mean sums
+    assert (len(mixed), len(sums)) == (1, 15)
+
+
+def test_a_specialization_group_takes_one_stencil_per_point(monkeypatch):
+    f, mixed, sums = _counting(monkeypatch, catalog_lookup("u2.5v2"))
+    s = 0.5
+    for corner in Corner:
+        corner_report(TheoremId.T1, corner, f, OFF, s)
+        corner_report(TheoremId.T2, corner, f, OFF, s, 2.0)
+        corner_report(TheoremId.T3, corner, f, OFF, s, 2.0)
+    for theorem, q in ((TheoremId.T1, None), (TheoremId.T2, 2.0), (TheoremId.T3, 2.0)):
+        midpoint_report(theorem, f, OFF, s, q)
+    remark_aggregate(TheoremId.R_C15, f, OFF, s)
+    remark_aggregate(TheoremId.R_METU, f, OFF, s, 2.0)
+    remark_aggregate(TheoremId.R_FINAL, f, OFF, s, 2.0)
+    # the four corners and the midpoint; a t2 and a t3 sum at each
+    assert (len(mixed), len(sums)) == (5, 10)
+    assert len(bounds._stencils[2]) == 5
+
+
+def test_the_stencil_table_stays_within_its_bound_and_keeps_no_error():
+    f = catalog_lookup("u2v2")
+    pts = [EvalPoint(0.5 + k / 16, 1.0 + k / 32) for k in range(3 * bounds._STENCIL_MEMO_SIZE)]
+    first = t2_rhs(f, OFF, pts[0], 0.5, 3.0)
+    for pt in pts[1:]:
+        t2_rhs(f, OFF, pt, 0.5, 3.0)
+        assert len(bounds._stencils[2]) <= bounds._STENCIL_MEMO_SIZE
+    assert t2_rhs(f, OFF, pts[0], 0.5, 3.0) == first
+    # a quadrant sum that overflows raises again on every call
+    g, big = parse_surface("u^3*v^3"), Rect(0.0, 1e40, 0.0, 1e40)
+    for _ in range(2):
+        with pytest.raises(EvalError, match="overflows"):
+            t2_rhs(g, big, EvalPoint(5e39, 5e39), 1.0, 2.0)
+
+
+def test_a_right_side_outside_the_rect_raises_before_any_evaluation(monkeypatch):
+    f, mixed, _ = _counting(monkeypatch, catalog_lookup("u2v2"))
+    t1_rhs(f, UNIT, UNIT.midpoint(), 0.5)
+    table = dict(bounds._stencils[2])
+    outside = EvalPoint(5.0, 5.0)
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            t1_rhs(f, UNIT, outside, 0.5)
+        with pytest.raises(ValueError) as lhs_exc:
+            lemma_lhs(f, UNIT, outside)
+        assert str(exc.value) == str(lhs_exc.value)
+    # f was not evaluated there, and the point never entered the table
+    assert len(mixed) == 1
+    assert bounds._stencils[2] == table
+
+
+# OVER holds OFF, so one point is queried on both rects; it also holds
+# (0, 0), where |D| of (u+v)^0.5*u is NaN, so every stencil of that
+# surface on OVER fails
+OVER = Rect(0.0, 2.5, 0.0, 3.0)
+_SURFACES = (catalog_lookup("u2v2"), catalog_lookup("u2.5v2"), parse_surface("(u+v)^0.5*u"))
+_PTS = (EvalPoint(0.5, 1.0), OFF.midpoint(), EvalPoint(1.25, 2.5))
+_FAMILY_Q = st.one_of(st.just((TheoremId.T1, None)),
+                      st.tuples(st.just(TheoremId.T2), st.sampled_from((2, 2.0, 3.0))),
+                      st.tuples(st.just(TheoremId.T3), st.sampled_from((1, 2, 2.0))))
+_ON = (st.sampled_from(_SURFACES), st.sampled_from((OFF, OVER)), st.sampled_from((0.5, 1.0)))
+_OPS = st.one_of(
+    st.tuples(st.just("point"), *_ON, _FAMILY_Q, st.sampled_from(PrefactorMode),
+              st.sampled_from(_PTS)),
+    st.tuples(st.just("corner"), *_ON, _FAMILY_Q, st.sampled_from(PrefactorMode),
+              st.sampled_from(Corner)),
+    st.tuples(st.just("mid"), *_ON, _FAMILY_Q, st.sampled_from(PrefactorMode)),
+    st.tuples(st.just("remark"), *_ON,
+              st.sampled_from((TheoremId.R_C15, TheoremId.R_METU, TheoremId.R_FINAL)),
+              st.sampled_from((2, 3.0))))
+
+
+def _run(op):
+    kind, f, rect, s, *rest = op
+    try:
+        if kind == "point":
+            (family, q), mode, pt = rest
+            if family is TheoremId.T1:
+                return t1_rhs(f, rect, pt, s)
+            if family is TheoremId.T2:
+                return t2_rhs(f, rect, pt, s, q)
+            return t3_rhs(f, rect, pt, s, q, mode)
+        if kind == "corner":
+            (family, q), mode, corner = rest
+            return corner_report(family, corner, f, rect, s, q, constant_mode=mode)
+        if kind == "mid":
+            (family, q), mode = rest
+            return midpoint_report(family, f, rect, s, q, constant_mode=mode)
+        remark, q = rest
+        return remark_aggregate(remark, f, rect, s, q)
+    except EvalError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=st.lists(_OPS, min_size=4, max_size=16))
+def test_interleaved_right_sides_and_reports_equal_cold_calls(ops):
+    warm = [_run(op) for op in ops]
+    cold = []
+    for op in ops:
+        _empty_memos()
+        cold.append(_run(op))
+    assert warm == cold
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadamard_rect.domain import Rect
+from hadamard_rect.bounds import t1_rhs
+from hadamard_rect.domain import EvalPoint, Rect
 from hadamard_rect.surfaces import (_LAMBDA_GRID, _N_PAIRS, _N_SECTIONS,
                                     _PAIRS_PER_SECTION, _VIOLATION_TOL,
                                     CertificationReport,
@@ -123,9 +124,8 @@ def test_a_power_product_term_is_zero_where_a_factor_is_exactly_zero():
 def test_mixed_partial_error_names_first_non_finite_point():
     # 0.25 u^-0.5 v^-0.5 is infinite on the axes; array input is checked too
     f = parse_surface("u^0.5*v^0.5")
-    with np.errstate(divide="ignore"):
-        with pytest.raises(EvalError, match=r"is inf at \(0\.0, 0\.5\)"):
-            f.mixed_partial(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.5, 1.0]))
+    with pytest.raises(EvalError, match=r"is inf at \(0\.0, 0\.5\)"):
+        f.mixed_partial(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.5, 1.0]))
 
 
 def test_surfaces_accept_arrays():
@@ -197,6 +197,17 @@ def test_a_numeric_only_surface_raises_eval_error_without_a_numpy_warning():
         g = parse_surface("(u*1000000000000+1)^30.5")
         with pytest.raises(EvalError):
             g.mixed_partial(1e8, 1.0)
+
+
+def test_a_power_product_pole_raises_eval_error_without_a_numpy_warning():
+    # |D| of u^0.5*v^0.5 is 0.25 u^-0.5 v^-0.5: a pole at the corner (0, 0)
+    # of every stencil on [0,1]^2
+    f = parse_surface("u^0.5*v^0.5")
+    assert f.kind is SurfaceKind.POWER_PRODUCT
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalError, match=r"is inf at \(0\.0, 0\.0\)"):
+            t1_rhs(f, Rect(0.0, 1.0, 0.0, 1.0), EvalPoint(0.5, 0.5), 0.5)
 
 
 def test_finite_difference_tracks_exact_mixed_partial():
