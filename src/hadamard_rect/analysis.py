@@ -14,6 +14,7 @@ from .identity import lemma_lhs_at, lemma_lhs_lattice
 from .bounds import (BoundReport, Stencil, TheoremId, family_report, family_rhs,
                      family_stencil_rhs)
 from .quad import QuadConfig, ToleranceNotMet
+from .serialize import FloatLattice
 from .surfaces import EvalError, Surface
 
 __all__ = ["GapSurface", "SweepResult", "RefinedMin", "scan_gap", "sweep_s",
@@ -47,6 +48,12 @@ class GapSurface:
     argmin: tuple[float, float] | None
     errors: tuple[tuple[int, int, str], ...]
     params: dict
+
+    def table(self) -> FloatLattice:
+        """grid as its axes and its (lhs, rhs, margin) columns, for the writers."""
+        nx = self.grid_shape[1]
+        return FloatLattice(("x", "y", "lhs", "rhs", "margin"), self.grid[:nx, 0],
+                            self.grid[::nx, 1], self.grid[:, 2:])
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .domain import (BadExponent, DegenerateRect, EvalPoint, NormalizationMode,
                      PrefactorMode, Rect, make_rect)
 from .identity import lemma_residual
 from .quad import DEEP, QuadConfig, ToleranceNotMet
-from .serialize import FloatColumns, build_report, report_to_json, rows_to_csv
+from .serialize import build_report, report_to_json, rows_to_csv
 from .suite import run_acceptance_suite
 from .surfaces import (DomainNotNonnegative, EvalError, ParseError,
                        SamplerConfig, Surface, UnknownSurface, catalog_lookup,
@@ -397,9 +397,8 @@ def cmd_scan(ns) -> int:
         config.update(theorem=theorem, grid=grid_n)
         (cmode,) = _t3_constants(ns, config, family is TheoremId.T3)
         gap = scan_gap(family, f, rect, s, ns.q, grid_n, cmode, mode, QuadConfig())
-        header = ["x", "y", "lhs", "rhs", "margin"]
-        rows = gap.grid                  # both writers take its columns as they are
-        results = FloatColumns(tuple(header), rows)
+        rows = results = gap.table()     # both writers take the lattice as it is
+        header = list(rows.names)
         violation = (not math.isnan(gap.min_margin)) and gap.min_margin < -tol
         ok = not violation and not gap.errors
         summary = {"grid_shape": list(gap.grid_shape),
@@ -580,8 +579,8 @@ def main(argv=None) -> int:
             apply_config(ns, load_config_file(ns.config))
         if ns.format is not None:
             _check_choice("--format", ns.format, ("json", "csv"))
-        if ns.tol is not None and ns.tol < 0:
-            raise UsageError("--tol must be nonnegative")
+        if ns.tol is not None and not (math.isfinite(ns.tol) and ns.tol >= 0):
+            raise UsageError(f"--tol must be a finite number >= 0, got {ns.tol}")
         # every non-finite value already becomes an EvalError where it is
         # computed, so numpy's own warnings would only repeat it on stderr;
         # a failed certification is in the report, so its warning would too

@@ -5,18 +5,18 @@ rely on repr, which carries the same round-trip guarantee. The timestamp
 field is populated from SOURCE_DATE_EPOCH when set and not empty, and is
 null otherwise, so identical runs produce identical bytes.
 
-A table of float columns (a scan's lattice) is written column by column:
-rows_to_csv takes it as a 2-d float array, and report_to_json as results
-given by FloatColumns. Each column is formatted once and the rows are
-joined, byte for byte what the row writers make of the same table, with
-a non-finite JSON value written as null.
+A table of floats over a lattice (a scan's report) is given as a
+FloatLattice: its x and y axes and its value columns. rows_to_csv and
+report_to_json format each axis value once, build one template that holds
+every row's axis text, and fill it with one % substitution of the values:
+%.17g for CSV, the values' repr texts for JSON, with a non-finite value
+written as null. The bytes are those the row writers make of the same table.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -27,11 +27,15 @@ TOOL_NAME = "hadamard-rect"
 
 
 @dataclass(frozen=True)
-class FloatColumns:
-    """Report results as named float columns: grid[:, k] is names[k]."""
+class FloatLattice:
+    """Report results as a table over the lattice xs x ys in scan order, y
+    in the outer loop: row iy * len(xs) + ix has the columns names, which
+    are (xs[ix], ys[iy], *values[row]). The axes are finite and not empty."""
 
     names: tuple[str, ...]
-    grid: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    values: np.ndarray       # (len(xs) * len(ys), len(names) - 2)
 
 
 def fmt17(value) -> str:
@@ -56,7 +60,7 @@ def run_timestamp() -> str | None:
                          f"1970-01-01 UTC, got {epoch!r}") from None
 
 
-def build_report(version: str, command: str, config: dict, results: list | FloatColumns,
+def build_report(version: str, command: str, config: dict, results: list | FloatLattice,
                  summary: dict, notes: list[str]) -> dict:
     return {
         "tool": TOOL_NAME,
@@ -70,37 +74,49 @@ def build_report(version: str, command: str, config: dict, results: list | Float
     }
 
 
-def _json_rows(table: FloatColumns) -> str:
+def _fill(xs: list[str], ys: list[str], head: str, mid: str, tail: str, sep: str) -> str:
+    """The row head + x + mid + y + tail for every lattice point in scan
+    order, rows joined by sep; the axis texts go in as they are."""
+    blocks = []
+    for y in ys:                   # one y's rows: its xs joined by the text between them
+        end = mid + y + tail
+        blocks.append(head + (end + sep + head).join(xs) + end)
+    return sep.join(blocks)
+
+
+def _json_rows(table: FloatLattice) -> str:
     """The results list as json.dumps(indent=2) writes it in a report."""
-    if not len(table.grid):
-        return "[]"
-    finite = math.isfinite
-    cols = [[repr(v) if finite(v) else "null" for v in col] for col in table.grid.T.tolist()]
-    keys = (json.dumps(name).replace("%", "%%") for name in table.names)
-    row = "    {" + ",".join(f"\n      {key}: %s" for key in keys) + "\n    }"
-    return "[\n" + ",\n".join([row % cells for cells in zip(*cols)]) + "\n  ]"
+    values = table.values.ravel()
+    texts = list(map(repr, values.tolist()))
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[k] = "null"
+    x_key, y_key, *keys = (f"\n      {json.dumps(name)}: ".replace("%", "%%")
+                           for name in table.names)
+    template = _fill(list(map(repr, table.xs.tolist())), list(map(repr, table.ys.tolist())),
+                     "    {" + x_key, "," + y_key,
+                     "".join("," + key + "%s" for key in keys) + "\n    }", ",\n")
+    return "[\n" + template % tuple(texts) + "\n  ]"
 
 
 def report_to_json(report: dict) -> str:
     results = report["results"]
-    if not isinstance(results, FloatColumns):
+    if not isinstance(results, FloatLattice):
         return json.dumps(report, indent=2, allow_nan=True) + "\n"
     text = json.dumps({**report, "results": []}, indent=2, allow_nan=True) + "\n"
     # the top-level key is the one "results" line at indent 2
     return text.replace('\n  "results": []', '\n  "results": ' + _json_rows(results), 1)
 
 
-def rows_to_csv(header: list[str], rows) -> str:
-    """Comma separators, LF line endings, 17-significant-digit floats.
-
-    rows is a list of rows, or a 2-d float array written column by column.
-    """
+def rows_to_csv(header: list[str], rows: list | FloatLattice) -> str:
+    """Comma separators, LF line endings, 17-significant-digit floats."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    if isinstance(rows, np.ndarray):
-        cols = [[format(v, ".17g") for v in col] for col in rows.T.tolist()]
-        return buf.getvalue() + "".join([",".join(cells) + "\n" for cells in zip(*cols)])
+    if isinstance(rows, FloatLattice):
+        template = _fill([format(v, ".17g") for v in rows.xs.tolist()],
+                         [format(v, ".17g") for v in rows.ys.tolist()],
+                         "", ",", ",%.17g" * rows.values.shape[1] + "\n", "")
+        return buf.getvalue() + template % tuple(rows.values.ravel().tolist())
     for row in rows:
         writer.writerow([fmt17(cell) for cell in row])
     return buf.getvalue()

@@ -338,8 +338,9 @@ def check_c9_determinism(tol_override: float | None = None) -> CheckResult:
 
     def scan_csv() -> str:
         gap = scan_gap(TheoremId.T1, uv, rect, s=1.0, grid_n=6)
-        # the column writer cmd_scan uses, so c9 sees the bytes scan writes
-        return rows_to_csv(["x", "y", "lhs", "rhs", "margin"], gap.grid)
+        # the lattice writer cmd_scan uses, so c9 sees the bytes scan writes
+        table = gap.table()
+        return rows_to_csv(list(table.names), table)
 
     csv_same = scan_csv() == scan_csv()
     neg = lambda t: -np.asarray(t, dtype=float)

@@ -594,6 +594,10 @@ class Verdict(Enum):
 class SamplerConfig:
     seed: int = 20260816
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+
 
 _N_PAIRS = 660                 # pairs for a single 1d call
 _N_SECTIONS = 22               # sections per orientation (2d call)

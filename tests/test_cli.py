@@ -11,6 +11,7 @@ that script is not on ``PATH``.
 SOURCE_DATE_EPOCH is stripped from the environment so every report carries a
 null timestamp and byte-level comparisons are meaningful.
 """
+import hashlib
 import json
 import os
 import shutil
@@ -190,6 +191,33 @@ def run_golden_case(name, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_acceptance_suite", fixed_suite)
     code = cli.main(list(GOLDEN_CASES[name]))
     return code, capsys.readouterr().out
+
+
+# sha256 of scan stdout on 65x65 lattices, recorded before the lattice writers:
+# a quadrature t3 scan on a decimal rect, an axis ending at -0 (printed as -0
+# in CSV), and a scan whose every cell is an error cell
+LARGE_SCANS = {
+    "fn-t3-decimal": (("--fn", "u^2.5*v^2", "--rect", "0.1,0.7,0.3,1.9", "--theorem", "t3",
+                       "--q", "2"), 0,
+                      "fa1359a87ad3212cff1103618f96a131590bb768e3e4901ed6f50863e8601a06",
+                      "67aa78ad8fa66abf079b35fb41f397f880e59e9d8d58ddf87d8a4a6a278dfafd"),
+    "uv-negative-zero": (("--catalog", "uv", "--rect=-1,-0,0,1"), 0,
+                         "8c72716db6c17321e22beb96a73bf3492e3461db1c132d5454ad3ac989913a11",
+                         "30345849eaf1f9e7433347b60cd0e1e6b571b9b6425cee64bc157cef67c607f7"),
+    "all-error-cells": (("--fn", "u^0.5*v^0.5"), 1,
+                        "6580fb8a418ce5cc11ab9728f8e1914d59939ef4dc8cc1d3905c72bfbfb82a51",
+                        "b9043211869e9c0af8da63f7aeb5e8a9923b7759425d2f3d5a2013f030779c0d"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(LARGE_SCANS))
+def test_large_scans_match_recorded_hashes(name, fmt, monkeypatch, capsys):
+    args, code, csv_hash, json_hash = LARGE_SCANS[name]
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    assert cli.main(["scan", *args, "--grid", "64", "--format", fmt]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (csv_hash if fmt == "csv" else json_hash)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
@@ -454,10 +482,36 @@ INAPPLICABLE_FLAGS = [
     ("scan", "--catalog", "uv", "--grid", "513"),             # above MAX_GRID
     ("chain", "--catalog", "uv", "--tol", "-1"),
     *INAPPLICABLE_FLAGS,
+    ("scan", "--catalog", "uv", "--grid", "2", "--tol", "nan"),
+    ("bound", "--catalog", "uv", "--tol", "nan"),
+    ("chain", "--catalog", "uv", "--tol", "nan"),
+    ("lemma", "--catalog", "uv", "--tol", "nan"),
+    ("bound", "--catalog", "uv", "--tol", "inf", "--format", "json"),
+    ("bound", "--catalog", "uv", "--certify", "--seed", "-1"),
 ])
 def test_usage_errors_exit_2(args):
     res = run_cli(*args)
     assert res.returncode == 2, res.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("scan", "--catalog", "uv", "--grid", "2", "--tol", "nan"), "--tol must be a finite "
+     "number >= 0, got nan"),
+    (("bound", "--catalog", "uv", "--tol", "inf", "--format", "json"), "--tol must be a "
+     "finite number >= 0, got inf"),
+    (("lemma", "--catalog", "uv", "--config", "tol.cfg"), "--tol must be a finite number "
+     ">= 0, got nan"),
+    (("bound", "--catalog", "uv", "--certify", "--seed", "-1"), "seed must be a "
+     "nonnegative integer, got -1"),
+], ids=["scan-tol-nan", "bound-tol-inf-json", "config-tol-nan", "negative-seed"])
+def test_bad_tol_or_seed_is_one_error_line_naming_it(args, message, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tol.cfg").write_text("tol = nan\n")
+    assert cli.main(list(args)) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
 
 
 # a rect whose width, height or area is not a positive finite float, and a

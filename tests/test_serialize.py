@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadamard_rect.serialize import (FloatColumns, build_report, fmt17, report_to_json,
+from hadamard_rect.serialize import (FloatLattice, build_report, fmt17, report_to_json,
                                      rows_to_csv, run_timestamp)
 
 
@@ -56,7 +56,7 @@ def test_csv_uses_lf_and_full_precision():
 
 
 # ---------------------------------------------------------------------------
-# the column writers against the row writers they replace for float tables
+# the lattice writers against the row writers they replace for scan tables
 # ---------------------------------------------------------------------------
 
 def _rows_csv(header, rows):
@@ -83,18 +83,36 @@ _CELLS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(min_value=-1e-300, max_value=1e-300))
 
+# increasing lattice axes; the second kind ends at -0.0, as --rect=-1,-0,0,1 does
+_AXES = st.one_of(
+    st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=5, unique=True).map(sorted),
+    st.lists(st.floats(-1e3, -5e-324), max_size=4, unique=True).map(lambda v: sorted(v) + [-0.0]))
+
+_NAMES = st.sampled_from([("x", "y", "lhs", "rhs", "margin"),
+                          ('a "quoted" %s, with a comma', "y%", "%d,", '"', "100%")])
+
+
+@st.composite
+def _lattices(draw):
+    names = draw(_NAMES)[:2 + draw(st.integers(0, 3))]
+    xs, ys = draw(_AXES), draw(_AXES)
+    cells = st.lists(_CELLS, min_size=len(names) - 2, max_size=len(names) - 2)
+    values = draw(st.lists(cells, min_size=len(xs) * len(ys), max_size=len(xs) * len(ys)))
+    return names, xs, ys, values
+
 
 @settings(max_examples=200, deadline=None)
-@given(table=st.integers(1, 6).flatmap(
-           lambda k: st.lists(st.lists(_CELLS, min_size=k, max_size=k), max_size=12)),
+@given(lattice=_lattices(),
        summary=st.dictionaries(st.sampled_from(["results", "n", "x"]), _CELLS, max_size=3))
-def test_column_writers_equal_the_row_writers(table, summary):
-    width = len(table[0]) if table else 1
-    names = ["x", "y", "lhs", "rhs", "margin", 'a "quoted" %s, with a comma'][-width:]
-    grid = np.array(table, dtype=float).reshape(len(table), width)
-    assert rows_to_csv(names, grid) == _rows_csv(names, table)
+def test_column_writers_equal_the_row_writers(lattice, summary):
+    names, xs, ys, values = lattice
+    rows = [(x, y, *values[iy * len(xs) + ix]) for iy, y in enumerate(ys)
+            for ix, x in enumerate(xs)]
+    table = FloatLattice(names, np.array(xs), np.array(ys),
+                         np.array(values, dtype=float).reshape(len(rows), len(names) - 2))
+    assert rows_to_csv(list(names), table) == _rows_csv(names, rows)
     report = build_report("0.1.0", "scan", {"results": "config"}, [], summary, ["a note"])
-    want = _rows_json(report, names, table)
-    got = report_to_json({**report, "results": FloatColumns(tuple(names), grid)})
+    want = _rows_json(report, names, rows)
+    got = report_to_json({**report, "results": table})
     assert got == want
     assert json.loads(got)["results"] == json.loads(want)["results"]
