@@ -3,10 +3,10 @@ of |d^2 f / du dv| (or its q-th power), plus the five-term mean chain.
 
 Three families, each written once as a function of |D| on the nine points
 {a, x, b} x {c, y, d}, which one mixed-partial call per point evaluates.
-A table for the last (f, rect) keeps that stencil at up to
-_STENCIL_MEMO_SIZE points, and at each point the quadrant sums t2 and t3
-take, per (q, edge weight, corner weight): every family, s, constant mode
-and specialization at a point shares them. A lattice scan evaluates
+An lru_cache keeps that stencil for the last _STENCIL_MEMO_SIZE
+(f, rect, point)s, and with each the quadrant sums t2 and t3 take, per
+(q, edge weight, corner weight): every family, s, constant mode and
+specialization at a point shares them. A lattice scan evaluates
 every cell's nine with one call on the lattice and runs the same formula
 once, on arrays in place of the floats:
 
@@ -259,12 +259,9 @@ def family_stencil_rhs(theorem: TheoremId, s: float, q: float | None = None,
         scale * quadrant_sum(D, rect, pt, q, s1, s1 ** 2))
 
 
-# |D| stencils of the last (f, rect), f matched by identity: up to
-# _STENCIL_MEMO_SIZE points, enough for a specialization group's four
-# corners and midpoint, each held as (D, the point's quadrant_sum). A new
-# (f, rect) replaces the table; a failed stencil never enters it.
+# |D| stencils of the last _STENCIL_MEMO_SIZE (f, rect, point)s, f matched
+# by identity: enough for a specialization group's four corners and midpoint
 _STENCIL_MEMO_SIZE = 8
-_stencils = None   # (f, rect, {(x, y): (D, quadrant_sum)})
 
 
 def _point_quadrant_sum() -> Callable[..., float]:
@@ -286,35 +283,21 @@ def _point_quadrant_sum() -> Callable[..., float]:
     return quadrant_sum
 
 
-def _stencil(f: Surface, rect: Rect, pt: EvalPoint
+@lru_cache(maxsize=_STENCIL_MEMO_SIZE)
+def _stencil(f: Surface, rect: Rect, x: float, y: float
              ) -> tuple[Stencil, Callable[..., float]]:
     """|D| on {a, x, b} x {c, y, d} and the point's quadrant_sum, from one
-    mixed-partial call, or from the table when it holds f (by identity),
-    rect and pt. A point outside rect raises ValueError before f is
-    evaluated, as lemma_lhs does.
+    mixed-partial call. A point outside rect raises ValueError before f is
+    evaluated, as lemma_lhs does; an exception is never kept.
 
     D[i][j] is |D| at the i-th of (a, x, b) and the j-th of (c, y, d).
     """
-    global _stencils
-    table, key = _stencils, (pt.x, pt.y)
-    points = table[2] if table is not None and table[0] is f and table[1] == rect else None
-    if points is not None:
-        entry = points.get(key)
-        if entry is not None:
-            return entry
-    _check_point(rect, pt)
-    a, b, x = rect.a, rect.b, pt.x
+    _check_point(rect, EvalPoint(x, y))
+    a, b = rect.a, rect.b
     u = np.array(((a, a, a), (x, x, x), (b, b, b)), dtype=float)
-    v = np.array(((rect.c, pt.y, rect.d),) * 3, dtype=float)
-    entry = (tuple(map(tuple, np.abs(f.mixed_partial(u, v)).tolist())),
-             _point_quadrant_sum())
-    if points is None:
-        points = {}
-        _stencils = (f, rect, points)
-    elif len(points) >= _STENCIL_MEMO_SIZE:
-        del points[next(iter(points))]
-    points[key] = entry
-    return entry
+    v = np.array(((rect.c, y, rect.d),) * 3, dtype=float)
+    return (tuple(map(tuple, np.abs(f.mixed_partial(u, v)).tolist())),
+            _point_quadrant_sum())
 
 
 def family_rhs(theorem: TheoremId, s: float, q: float | None = None,
@@ -323,16 +306,17 @@ def family_rhs(theorem: TheoremId, s: float, q: float | None = None,
     """The right side of family t1, t2 or t3 as a function of (f, rect, pt).
 
     s and q are checked here, once. Each evaluation reads the point's
-    stencil and quadrant sums from the table of the last (f, rect), where
-    one mixed-partial call on the nine-point stencil fills them. A point
-    outside rect raises ValueError; a power too large for a float raises
-    EvalError naming the family, f and pt.
+    stencil and quadrant sums from _stencil's cache of the last
+    _STENCIL_MEMO_SIZE (f, rect, point)s, where one mixed-partial call on
+    the nine-point stencil fills them. A point outside rect raises
+    ValueError; a power too large for a float raises EvalError naming the
+    family, f and pt.
     """
     on_stencil = family_stencil_rhs(theorem, s, q, constant_mode)
 
     def rhs(f: Surface, rect: Rect, pt: EvalPoint) -> float:
         try:
-            D, quadrant_sum = _stencil(f, rect, pt)
+            D, quadrant_sum = _stencil(f, rect, pt.x, pt.y)
             return on_stencil(D, rect, pt, quadrant_sum)
         except OverflowError:
             raise EvalError(f"{theorem.value} right side of {f.name} overflows a float "

@@ -166,7 +166,7 @@ def _inapplicable(ns, dest: str, why: str) -> None:
     error; the same key from a config file, which may serve several
     commands, is ignored."""
     if dest in ns.given:
-        raise UsageError(f"--{dest} {why}")
+        raise UsageError(f"--{dest.replace('_', '-')} {why}")
 
 
 def _get_point(ns, rect: Rect) -> EvalPoint:
@@ -205,11 +205,12 @@ def _t3_constants(ns, config: dict, t3: bool, both: bool = False) -> list[Prefac
 
     A family other than t3 takes no constant, and its config does not name one.
     """
+    if not t3:
+        _inapplicable(ns, "t3_constant", "applies only to the t3 family")
+        return [PrefactorMode.VERBATIM]
     text = ns.t3_constant or "verbatim"
     _check_choice("--t3-constant", text,
                   [m.value for m in PrefactorMode] + (["both"] if both else []))
-    if not t3:
-        return [PrefactorMode.VERBATIM]
     config["t3-constant"] = text
     return list(PrefactorMode) if text == "both" else [PrefactorMode(text)]
 
@@ -221,9 +222,11 @@ def _notes(mode: NormalizationMode, t3: bool = False) -> list[str]:
 
 def _sampler(ns, config: dict) -> SamplerConfig:
     """The certification sampler; with --certify the config records its seed."""
+    if not ns.certify:
+        _inapplicable(ns, "seed", "applies only with --certify")
+        return SamplerConfig()
     sampler = SamplerConfig(seed=ns.seed) if ns.seed is not None else SamplerConfig()
-    if ns.certify:
-        config.update(certify=True, seed=sampler.seed)
+    config.update(certify=True, seed=sampler.seed)
     return sampler
 
 
@@ -332,7 +335,9 @@ def cmd_bound(ns) -> int:
         _inapplicable(ns, "point", f"does not apply to {tid.value}, which is evaluated at "
                       + ("the midpoint" if where == "mid" else "a corner"))
     config.update(theorem=tid.value, s=ns.s or "1", mode=mode.value)
-    if family is not TheoremId.T1:
+    if family is TheoremId.T1:
+        _inapplicable(ns, "q", f"does not apply to {tid.value}, a first-power bound")
+    else:
         if ns.q is None:
             raise UsageError(f"the {tid.value} bound needs --q")
         config["q"] = ns.q
@@ -379,16 +384,21 @@ def cmd_scan(ns) -> int:
     f, rect, config = _surface(ns)
     mode = _get_mode(ns)
     tol = ns.tol if ns.tol is not None else BOUND_ABS_TOL
-    config.update({"scan-kind": kind, "s": ns.s or "1", "mode": mode.value, "tol": tol})
-    if ns.q is not None:
-        config["q"] = ns.q
     theorem = (ns.theorem or "t1").lower()
     if kind == "compare":
-        _t3_constants(ns, config, False)   # checked only: compare shows both constants
+        _inapplicable(ns, "theorem", "does not apply to a family comparison, "
+                      "which reports t1, t2 and t3")
+        _inapplicable(ns, "t3_constant", "does not apply to a family comparison, "
+                      "which shows both constants")
         family = TheoremId.T3              # which brings the t3 note
     else:
         _check_choice("--theorem", theorem, _FAMILIES)
         family = TheoremId(theorem)
+    config.update({"scan-kind": kind, "s": ns.s or "1", "mode": mode.value, "tol": tol})
+    if family is TheoremId.T1:
+        _inapplicable(ns, "q", "does not apply to the t1 family")
+    elif ns.q is not None:
+        config["q"] = ns.q
 
     if kind == "gap":
         _inapplicable(ns, "point", "does not apply to a gap scan, which covers the lattice")

@@ -468,6 +468,19 @@ INAPPLICABLE_FLAGS = [
     ("scan", "--scan-kind", "compare", "--catalog", "uv", "--q", "2", "--grid", "4"),
 ]
 
+# a seed with no certification, and q, a t3 constant or a theorem where the
+# family or the scan takes none
+INAPPLICABLE_FAMILY_FLAGS = [
+    ("bound", "--catalog", "uv", "--seed", "5"),
+    ("chain", "--catalog", "uv", "--seed", "5"),
+    ("bound", "--catalog", "uv", "--q", "2"),
+    ("scan", "--catalog", "uv", "--q", "2"),
+    ("bound", "--theorem", "c2_1", "--catalog", "uv", "--q", "2", "--t3-constant", "sharpened"),
+    ("scan", "--scan-kind", "compare", "--catalog", "uv", "--q", "2", "--t3-constant",
+     "sharpened"),
+    ("scan", "--scan-kind", "compare", "--catalog", "uv", "--q", "2", "--theorem", "bogus"),
+]
+
 
 @pytest.mark.parametrize("args", [
     ("lemma", "--catalog", "uv", "--rect", "0,0,0,1"),
@@ -488,6 +501,7 @@ INAPPLICABLE_FLAGS = [
     ("lemma", "--catalog", "uv", "--tol", "nan"),
     ("bound", "--catalog", "uv", "--tol", "inf", "--format", "json"),
     ("bound", "--catalog", "uv", "--certify", "--seed", "-1"),
+    *INAPPLICABLE_FAMILY_FLAGS,
 ])
 def test_usage_errors_exit_2(args):
     res = run_cli(*args)
@@ -595,7 +609,7 @@ def test_malformed_source_date_epoch_is_one_error_line(value, monkeypatch, capsy
     assert repr(value) in out.err
 
 
-@pytest.mark.parametrize("args", INAPPLICABLE_FLAGS)
+@pytest.mark.parametrize("args", INAPPLICABLE_FLAGS + INAPPLICABLE_FAMILY_FLAGS)
 def test_flag_that_cannot_take_effect_is_one_error_line(args, capsys):
     assert cli.main(list(args)) == 2
     out = capsys.readouterr()
@@ -609,6 +623,11 @@ def test_flag_that_cannot_take_effect_is_one_error_line(args, capsys):
     (("scan", "--scan-kind", "gap", "--catalog", "uv", "--grid", "2"), "point = 5,5"),
     (("scan", "--scan-kind", "sweep", "--catalog", "uv", "--s", "0.5,1"), "grid = 4"),
     (("scan", "--scan-kind", "compare", "--catalog", "uv", "--q", "2"), "grid = 4"),
+    (("bound", "--catalog", "uv"), "seed = 5"),
+    (("chain", "--catalog", "uv"), "seed = 5"),
+    (("scan", "--catalog", "uv", "--grid", "2"), "q = 2"),
+    (("bound", "--catalog", "uv"), "t3-constant = sharpened"),
+    (("scan", "--scan-kind", "compare", "--catalog", "uv", "--q", "2"), "theorem = t2"),
 ])
 def test_config_keys_that_do_not_apply_are_ignored(args, key, tmp_path, monkeypatch, capsys):
     # one config file may serve several commands

@@ -2,7 +2,7 @@
 queries on one expression, one (f, rect), one point or one exponent set
 reuse earlier work and give the values a cold call gives.
 
-tests/conftest.py empties all four memos before each test.
+tests/conftest.py empties every bounded memo before each test.
 """
 import dataclasses
 
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadamard_rect import bounds, cli, identity
+from hadamard_rect import bounds, cli, identity, quad
 from hadamard_rect.bounds import (Corner, TheoremId, corner_report, midpoint_report,
                                   remark_aggregate, t1_rhs, t2_rhs, t3_rhs)
 from hadamard_rect.domain import EvalPoint, NormalizationMode, PrefactorMode, Rect
@@ -26,8 +26,18 @@ POINTS = (EvalPoint(0.5, 1.0), EvalPoint(1.25, 2.5), EvalPoint(2.5, 3.0), OFF.mi
 
 def _empty_memos():
     identity._lhs_parts.cache_clear()
-    bounds._stencils = None
+    bounds._stencil.cache_clear()
     bounds.family_stencil_rhs.cache_clear()
+
+
+def test_conftest_empties_exactly_the_bounded_memos(bounded_memos):
+    # a new memo is a deliberate edit of this set
+    assert set(bounded_memos) == {
+        "hadamard_rect.surfaces.parse_surface", "hadamard_rect.identity._lhs_parts",
+        "hadamard_rect.bounds.family_stencil_rhs", "hadamard_rect.bounds._stencil"}
+    # the unbounded pure tables stay warm from test to test
+    for table in (quad.gauss_legendre, quad._tensor_rule, cli._parser):
+        assert table.cache_parameters()["maxsize"] is None
 
 
 def _values(f, use_exact, cold):
@@ -83,7 +93,7 @@ def test_errors_are_raised_again_and_never_remembered():
         for _ in range(2):
             with pytest.raises(EvalError, match="nan"):
                 t1_rhs(f, UNIT, UNIT.midpoint(), 0.5)
-    assert bounds._stencils is None
+    assert bounds._stencil.cache_info().currsize == 0
     # the left side of u^0.5*v^0.5 misses the default tolerance on [0,1]^2
     g = parse_surface("u^0.5*v^0.5")
     for _ in range(2):
@@ -106,7 +116,7 @@ def test_left_side_table_stays_within_its_bound():
 
 
 # ---------------------------------------------------------------------------
-# the stencil table: one |D| stencil and one quadrant sum per point
+# the stencil memo: one |D| stencil and one quadrant sum per point
 # ---------------------------------------------------------------------------
 
 def _counting(monkeypatch, f):
@@ -148,7 +158,7 @@ def test_a_specialization_group_takes_one_stencil_per_point(monkeypatch):
     remark_aggregate(TheoremId.R_FINAL, f, OFF, s, 2.0)
     # the four corners and the midpoint; a t2 and a t3 sum at each
     assert (len(mixed), len(sums)) == (5, 10)
-    assert len(bounds._stencils[2]) == 5
+    assert bounds._stencil.cache_info().currsize == 5
 
 
 def test_the_stencil_table_stays_within_its_bound_and_keeps_no_error():
@@ -157,8 +167,11 @@ def test_the_stencil_table_stays_within_its_bound_and_keeps_no_error():
     first = t2_rhs(f, OFF, pts[0], 0.5, 3.0)
     for pt in pts[1:]:
         t2_rhs(f, OFF, pt, 0.5, 3.0)
-        assert len(bounds._stencils[2]) <= bounds._STENCIL_MEMO_SIZE
+        assert bounds._stencil.cache_info().currsize <= bounds._STENCIL_MEMO_SIZE
+    # the oldest point was dropped: its stencil is computed again, equally
+    misses = bounds._stencil.cache_info().misses
     assert t2_rhs(f, OFF, pts[0], 0.5, 3.0) == first
+    assert bounds._stencil.cache_info().misses == misses + 1
     # a quadrant sum that overflows raises again on every call
     g, big = parse_surface("u^3*v^3"), Rect(0.0, 1e40, 0.0, 1e40)
     for _ in range(2):
@@ -169,7 +182,6 @@ def test_the_stencil_table_stays_within_its_bound_and_keeps_no_error():
 def test_a_right_side_outside_the_rect_raises_before_any_evaluation(monkeypatch):
     f, mixed, _ = _counting(monkeypatch, catalog_lookup("u2v2"))
     t1_rhs(f, UNIT, UNIT.midpoint(), 0.5)
-    table = dict(bounds._stencils[2])
     outside = EvalPoint(5.0, 5.0)
     for _ in range(2):
         with pytest.raises(ValueError) as exc:
@@ -177,9 +189,13 @@ def test_a_right_side_outside_the_rect_raises_before_any_evaluation(monkeypatch)
         with pytest.raises(ValueError) as lhs_exc:
             lemma_lhs(f, UNIT, outside)
         assert str(exc.value) == str(lhs_exc.value)
-    # f was not evaluated there, and the point never entered the table
+    # f was not evaluated there, and the point never entered the memo:
+    # the midpoint's stencil is still the one entry
     assert len(mixed) == 1
-    assert bounds._stencils[2] == table
+    assert bounds._stencil.cache_info().currsize == 1
+    hits = bounds._stencil.cache_info().hits
+    t1_rhs(f, UNIT, UNIT.midpoint(), 0.5)
+    assert (len(mixed), bounds._stencil.cache_info().hits) == (1, hits + 1)
 
 
 # OVER holds OFF, so one point is queried on both rects; it also holds

@@ -68,6 +68,22 @@ def test_tolerance_not_met_carries_best_value():
     assert 1.0 < exc.value.value < 2.1
 
 
+@pytest.mark.parametrize("integrate", [
+    lambda cfg: integrate_1d(np.sqrt, 0.0, 1.0, cfg),
+    lambda cfg: integrate_2d(lambda u, v: np.sqrt(u) + 0.0 * v, Rect(0.0, 1.0, 0.0, 1.0), cfg),
+], ids=["1d", "2d"])
+def test_tolerance_not_met_is_raised_exactly_above_abs_tol(integrate):
+    # with no subdivision the error estimate does not depend on abs_tol
+    # (for the 2d sqrt(u) it is about 9.9e-4), so abs_tol decides alone
+    single = lambda abs_tol: QuadConfig(gl_order=8, max_subdiv=0, abs_tol=abs_tol)
+    est = integrate(single(1.0)).err_estimate
+    assert est > 1e-6
+    with pytest.raises(ToleranceNotMet) as exc:
+        integrate(single(est / 2))
+    assert exc.value.err_estimate == est
+    assert integrate(single(2 * est)).err_estimate == est
+
+
 def test_eval_error_on_nan_integrand():
     with np.errstate(invalid="ignore"):
         with pytest.raises(EvalError):

@@ -302,6 +302,31 @@ def test_certify_coordinated_finds_sectionwise_violation():
     assert report.witness.section is not None
 
 
+# violations planted about 1e-6 deep: the sampler must see them at its
+# default seed, and a tolerance near 1e-3 would pass every one
+def _bump(t):
+    """1 plus a concave 1e-4·t(1-t): not convex (s = 1) on [0, 1]."""
+    return 1.0 + 1e-4 * t * (1.0 - t)
+
+
+def _dip(t):
+    """Convex, but negative down to -1e-6 on [0, 1)."""
+    return 1e-6 * (t * t - 1.0)
+
+
+@pytest.mark.parametrize("g, kind", [(_bump, "inequality"), (_dip, "negative_value")],
+                         ids=["concave-bump", "negative-dip"])
+def test_certify_finds_a_violation_planted_1e_6_deep(g, kind):
+    reports = (certify_s_convex_second_sense(g, 1.0, 0.0, 1.0),
+               certify_coordinated(lambda u, v: g(u), Rect(0.0, 1.0, 0.0, 1.0), 1.0))
+    for report in reports:
+        assert report.verdict is Verdict.COUNTEREXAMPLE
+        assert report.witness.kind == kind
+        assert 1e-7 < report.witness.slack < 1e-5
+    # the coordinated search finds it on a horizontal section u -> g(u)
+    assert reports[1].witness.section[0] == "v"
+
+
 def test_certification_requires_nonnegative_domain():
     with pytest.raises(DomainNotNonnegative):
         certify_s_convex_second_sense(lambda t: t * t, 0.5, -1.0, 1.0)
