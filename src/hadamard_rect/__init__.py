@@ -9,7 +9,7 @@ from .analysis import (GapSurface, RefinedMin, SweepResult, compare_families,
 from .bounds import (BOUND_ABS_TOL, BOUND_REL_TOL, CHAIN_TOL, BoundReport,
                      ChainEvaluation, Corner, TheoremId, chain_evaluate,
                      corner_report, family_report, family_rhs,
-                     midpoint_report, remark_aggregate, t1_report, t1_rhs,
+                     margin_holds, midpoint_report, remark_aggregate, t1_report, t1_rhs,
                      t2_report, t2_rhs, t3_report, t3_rhs)
 from .domain import (BadExponent, DegenerateRect, EvalPoint, HolderPair,
                      NormalizationMode, PowerMeanQ, PrefactorMode, Rect,
@@ -54,7 +54,7 @@ __all__ = [
     "TheoremId", "Corner", "BoundReport", "ChainEvaluation", "family_rhs",
     "family_report", "t1_rhs", "t2_rhs", "t3_rhs", "t1_report", "t2_report",
     "t3_report", "corner_report", "midpoint_report", "remark_aggregate",
-    "chain_evaluate",
+    "chain_evaluate", "margin_holds",
     "BOUND_ABS_TOL", "BOUND_REL_TOL", "CHAIN_TOL",
     # analysis
     "GapSurface", "SweepResult", "RefinedMin", "scan_gap", "sweep_s",

@@ -1,18 +1,18 @@
 """Margin analysis over a rectangle: lattice scans, s sweeps, family
 comparison, and a small local refinement of the worst lattice cell.
+
+Every right side here comes from bounds.family_rhs, at a point or, for a
+lattice scan, from its lattice form; this module evaluates no formula.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .domain import EvalPoint, NormalizationMode, PrefactorMode, Rect
 from .identity import lemma_lhs_at, lemma_lhs_lattice
-from .bounds import (BoundReport, Stencil, TheoremId, family_report, family_rhs,
-                     family_stencil_rhs)
+from .bounds import BoundReport, TheoremId, family_report, family_rhs
 from .quad import QuadConfig, ToleranceNotMet
 from .serialize import FloatLattice
 from .surfaces import EvalError, Surface
@@ -33,7 +33,7 @@ class GapSurface:
     coordinates are the rectangle's edges exactly. Each row equals what
     lemma_lhs and family_rhs give at that point, bit for bit, although
     both sides are computed for the whole lattice at once: the right side
-    is one pass of the family's formula over arrays. Cells that
+    is the family_rhs evaluator's lattice form. Cells that
     failed to evaluate carry NaN and an entry in errors; they do not abort
     the scan.
 
@@ -70,42 +70,6 @@ class RefinedMin:
     iterations: int
 
 
-class _FloatPow(np.ndarray):
-    """A float64 array whose ** is Python's float pow on each element.
-
-    numpy's power, and its square and square-root fast paths, can differ
-    from Python's pow in the last bit, so a family's stencil form run on
-    these arrays gives every cell the bits the point path gives it. As on
-    a float, a power too large for a float raises OverflowError.
-    """
-
-    def __pow__(self, e):
-        out = np.fromiter(map(pow, self.ravel().tolist(), repeat(e)), float, self.size)
-        return out.reshape(self.shape).view(_FloatPow)
-
-
-def _lattice_rhs(on_stencil: Callable[[Stencil, Rect, EvalPoint], float],
-                 f: Surface, rect: Rect, xs: list[float], ys: list[float]
-                 ) -> np.ndarray:
-    """A family's right side at every lattice cell, indexed [iy, ix]: one
-    mixed-partial call on the whole lattice, then one call of its stencil
-    form on_stencil over arrays.
-
-    The lattice holds a, b, c and d, so each cell's stencil is lattice rows
-    (0, ix, n) by columns (0, iy, n), and each stencil entry is a slice of
-    M, the |D| array indexed [ix, iy]. Raises EvalError where the
-    mixed-partial call does, and OverflowError where a power does.
-    """
-    M = np.abs(f.mixed_partial(*np.meshgrid(xs, ys, indexing="ij"))).view(_FloatPow)
-    n = len(xs) - 1
-    ends = (slice(0, 1), slice(None), slice(n, n + 1))
-    D = [[M[i, j] for j in ends] for i in ends]
-    pt = EvalPoint(np.array(xs)[:, None].view(_FloatPow),
-                   np.array(ys)[None, :].view(_FloatPow))
-    with np.errstate(over="ignore", invalid="ignore"):   # as Python floats are
-        return np.asarray(on_stencil(D, rect, pt)).T
-
-
 def scan_gap(theorem: TheoremId, f: Surface, rect: Rect, s: float,
              q: float | None = None, grid_n: int = 8,
              constant_mode: PrefactorMode = PrefactorMode.VERBATIM,
@@ -115,12 +79,13 @@ def scan_gap(theorem: TheoremId, f: Surface, rect: Rect, s: float,
     boundary. Deterministic: no randomness anywhere in the scan.
 
     Cost: one left-side lattice call (four edge integrals and one area
-    integral, then one array expression or one integer division per node),
-    one mixed-partial call on the whole lattice, and one pass of the
-    family's formula over the lattice as arrays. A cell whose left or right
-    side raises EvalError is an error cell; where the lattice's mixed
-    partial or right side fails, each cell falls back to family_rhs and
-    keeps its own message. grid_n is at most MAX_GRID.
+    integral, then one array expression or one integer division per node)
+    and one call of the family_rhs evaluator's lattice form (one
+    mixed-partial call on the whole lattice, one pass of the formula over
+    it as arrays). A cell whose left or right side raises EvalError is an
+    error cell; where the lattice form fails, each cell falls back to the
+    evaluator at its point and keeps its own message. grid_n is at most
+    MAX_GRID.
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
@@ -128,7 +93,6 @@ def scan_gap(theorem: TheoremId, f: Surface, rect: Rect, s: float,
         raise ValueError(f"grid_n must be <= {MAX_GRID}, got {grid_n}")
     mode, constant_mode = NormalizationMode(mode), PrefactorMode(constant_mode)
     rhs_at = family_rhs(theorem, s, q, constant_mode)   # checks s and q first
-    on_stencil = family_stencil_rhs(theorem, s, q, constant_mode)
     # the last coordinate is b (d) itself: a + n (b - a) / n can miss it
     xs = [rect.a + i * (rect.b - rect.a) / grid_n for i in range(grid_n)] + [rect.b]
     ys = [rect.c + j * (rect.d - rect.c) / grid_n for j in range(grid_n)] + [rect.d]
@@ -141,7 +105,7 @@ def scan_gap(theorem: TheoremId, f: Surface, rect: Rect, s: float,
     else:
         lhs = np.abs(lhs)
         try:
-            rhs = _lattice_rhs(on_stencil, f, rect, xs, ys)
+            rhs = rhs_at.lattice(f, rect, xs, ys)
         except (EvalError, OverflowError):
             rhs = np.full_like(lhs, np.nan)
             for iy, y in enumerate(ys):

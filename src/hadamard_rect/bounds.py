@@ -3,12 +3,13 @@ of |d^2 f / du dv| (or its q-th power), plus the five-term mean chain.
 
 Three families, each written once as a function of |D| on the nine points
 {a, x, b} x {c, y, d}, which one mixed-partial call per point evaluates.
-An lru_cache keeps that stencil for the last _STENCIL_MEMO_SIZE
-(f, rect, point)s, and with each the quadrant sums t2 and t3 take, per
-(q, edge weight, corner weight): every family, s, constant mode and
-specialization at a point shares them. A lattice scan evaluates
-every cell's nine with one call on the lattice and runs the same formula
-once, on arrays in place of the floats:
+family_rhs is an lru_cache of one evaluator per (family, s, q, constant
+mode). At a point it reads the stencil from an lru_cache of the last
+_STENCIL_MEMO_SIZE (f, rect, point)s, which also keeps the quadrant sums t2
+and t3 take, per (q, edge weight, corner weight): every family, s,
+constant mode and specialization at a point shares them. Its lattice form
+gets every cell's nine from one call on the lattice and runs the same
+formula once, on arrays in place of the floats:
 
 - t1 (first power): kernel moments integrate to 1/((s+1)(s+2)) and the
   bound groups by evaluation point.
@@ -24,7 +25,7 @@ is the area times the family bound summed over the four corners. The
 paper's displayed corner, midpoint and aggregate formulas are not used
 here; they are the independent oracle of the tests and of acceptance
 check c6. All left sides use the corrected normalization unless told
-otherwise.
+otherwise. margin_holds judges a margin at a point and on a lattice alike.
 """
 from __future__ import annotations
 
@@ -33,7 +34,8 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
 
 import numpy as np
 
@@ -48,10 +50,10 @@ from .surfaces import (EvalError, SamplerConfig, Surface, Verdict,
 
 __all__ = [
     "TheoremId", "Corner", "BoundReport", "ChainEvaluation", "family_rhs",
-    "family_stencil_rhs", "family_report", "t1_rhs", "t2_rhs", "t3_rhs",
+    "family_report", "t1_rhs", "t2_rhs", "t3_rhs",
     "t1_report", "t2_report", "t3_report", "corner_report", "midpoint_report",
-    "remark_aggregate", "chain_evaluate", "BOUND_ABS_TOL", "BOUND_REL_TOL",
-    "CHAIN_TOL",
+    "remark_aggregate", "chain_evaluate", "margin_holds", "BOUND_ABS_TOL",
+    "BOUND_REL_TOL", "CHAIN_TOL",
 ]
 
 Stencil = Sequence[Sequence[float]]
@@ -83,7 +85,6 @@ class TheoremId(Enum):
     R_C15 = "r_c15"
     R_METU = "r_metu"
     R_FINAL = "r_final"
-    CHAIN = "chain"
 
 
 class Corner(Enum):
@@ -155,12 +156,23 @@ class ChainEvaluation:
         return (self.e0, self.e1, self.e2, self.e3, self.e4)
 
 
+def _bound_tol(rhs):
+    return BOUND_ABS_TOL + BOUND_REL_TOL * abs(rhs)
+
+
+def margin_holds(margin, rhs, tol: float | None = None):
+    """Whether a bound holds by margin = rhs - lhs: margin >= -tol, where tol
+    is BOUND_ABS_TOL + BOUND_REL_TOL * |rhs| unless an absolute tol is given.
+    On floats it gives a bool, on arrays one per element; NaN never holds."""
+    return margin >= -(_bound_tol(rhs) if tol is None else tol)
+
+
 def _finish(tid: TheoremId, lhs: float, rhs: float, params: dict,
             certified: bool | None = None) -> BoundReport:
-    tol = BOUND_ABS_TOL + BOUND_REL_TOL * abs(rhs)
+    tol = _bound_tol(rhs)
     margin = rhs - lhs
     return BoundReport(theorem_id=tid, lhs=lhs, rhs=rhs, margin=margin,
-                       holds=margin >= -tol, tol=tol, params=params,
+                       holds=margin_holds(margin, rhs, tol), tol=tol, params=params,
                        hypothesis_certified=certified)
 
 
@@ -178,7 +190,7 @@ def _params(rect: Rect, pt: EvalPoint | None, s: float, mode: NormalizationMode,
 #
 # _t1 and _quadrant_sum also run once over a whole scan lattice, with
 # arrays for the coordinates and stencil entries whose ** is Python's float
-# pow (analysis._FloatPow): keep every operation elementwise and every
+# pow (_FloatPow): keep every operation elementwise and every
 # power a **, so that each cell keeps the point path's bits.
 # ---------------------------------------------------------------------------
 
@@ -221,44 +233,9 @@ def _quadrant_sum(D: Stencil, rect: Rect, pt: EvalPoint, q: float,
     return acc
 
 
-# (theorem, s, q, constant mode) evaluators family_stencil_rhs keeps: every
+# (theorem, s, q, constant mode) evaluators family_rhs keeps: every
 # exponent set of a battery
 _FAMILY_MEMO_SIZE = 256
-
-
-@lru_cache(maxsize=_FAMILY_MEMO_SIZE)
-def family_stencil_rhs(theorem: TheoremId, s: float, q: float | None = None,
-                       constant_mode: PrefactorMode = PrefactorMode.VERBATIM
-                       ) -> Callable[..., float]:
-    """The right side of family t1, t2 or t3 as a function of (D, rect, pt),
-    where D[i][j] is |D| at the i-th of (a, x, b) and the j-th of (c, y, d).
-
-    s and q are checked here, once, so a caller can check them before it
-    computes any left side. A lattice scan takes every cell's D from one
-    mixed-partial call on the whole lattice and calls the evaluator once,
-    with arrays for D and pt. The point path passes a fourth argument, the
-    point's memoized stand-in for _quadrant_sum. The last _FAMILY_MEMO_SIZE
-    argument sets keep their evaluator; a bad s or q raises on every call
-    and is not kept.
-    """
-    if theorem not in _FAMILY_NAMES:
-        raise ValueError(f"{theorem} is not a bound family (t1, t2, t3)")
-    SExponent(s)
-    s1 = s + 1.0
-    if theorem is TheoremId.T1:
-        return lambda D, rect, pt, quadrant_sum=None: _t1(D, rect, pt, s)
-    if q is None:
-        raise ValueError(f"the {_FAMILY_NAMES[theorem]} family needs q")
-    if theorem is TheoremId.T2:
-        kernel = holder_kernel_constant(make_holder_pair(q).p)
-        return lambda D, rect, pt, quadrant_sum=_quadrant_sum: (
-            quadrant_sum(D, rect, pt, q, 1.0, 1.0) * kernel / s1 ** (2.0 / q))
-    PowerMeanQ(q)
-    scale = power_mean_prefactor(q, constant_mode) / (s1 * (s + 2.0)) ** (2.0 / q)
-    return lambda D, rect, pt, quadrant_sum=_quadrant_sum: (
-        scale * quadrant_sum(D, rect, pt, q, s1, s1 ** 2))
-
-
 # |D| stencils of the last _STENCIL_MEMO_SIZE (f, rect, point)s, f matched
 # by identity: enough for a specialization group's four corners and midpoint
 _STENCIL_MEMO_SIZE = 8
@@ -300,39 +277,93 @@ def _stencil(f: Surface, rect: Rect, x: float, y: float
             _point_quadrant_sum())
 
 
+class _FloatPow(np.ndarray):
+    """A float64 array whose ** is Python's float pow on each element.
+
+    numpy's power, and its square and square-root fast paths, can differ
+    from Python's pow in the last bit, so a family's formula run on these
+    arrays gives every cell the point path's bits. As on a float, a power
+    too large for a float raises OverflowError."""
+
+    def __pow__(self, e):
+        out = np.fromiter(map(pow, self.ravel().tolist(), repeat(e)), float, self.size)
+        return out.reshape(self.shape).view(_FloatPow)
+
+
+def _lattice_rhs(formula: Callable[..., float], f: Surface, rect: Rect,
+                 xs: list[float], ys: list[float]) -> np.ndarray:
+    """A family's right side at every cell of the lattice xs x ys, indexed
+    [iy, ix]: one mixed-partial call on the whole lattice, then one call of
+    its formula over arrays. The lattice holds a, b, c and d, so each
+    cell's stencil is lattice rows (0, ix, n) by columns (0, iy, n), and
+    each stencil entry is a slice of M, the |D| array indexed [ix, iy].
+    Raises EvalError where the mixed-partial call does, and OverflowError
+    where a power does."""
+    M = np.abs(f.mixed_partial(*np.meshgrid(xs, ys, indexing="ij"))).view(_FloatPow)
+    n = len(xs) - 1
+    ends = (slice(0, 1), slice(None), slice(n, n + 1))
+    D = [[M[i, j] for j in ends] for i in ends]
+    pt = EvalPoint(np.array(xs)[:, None].view(_FloatPow),
+                   np.array(ys)[None, :].view(_FloatPow))
+    with np.errstate(over="ignore", invalid="ignore"):   # as Python floats are
+        return np.asarray(formula(D, rect, pt)).T
+
+
+@lru_cache(maxsize=_FAMILY_MEMO_SIZE)
 def family_rhs(theorem: TheoremId, s: float, q: float | None = None,
                constant_mode: PrefactorMode = PrefactorMode.VERBATIM
                ) -> Callable[[Surface, Rect, EvalPoint], float]:
     """The right side of family t1, t2 or t3 as a function of (f, rect, pt).
 
-    s and q are checked here, once. Each evaluation reads the point's
-    stencil and quadrant sums from _stencil's cache of the last
-    _STENCIL_MEMO_SIZE (f, rect, point)s, where one mixed-partial call on
-    the nine-point stencil fills them. A point outside rect raises
-    ValueError; a power too large for a float raises EvalError naming the
-    family, f and pt.
+    s and q are checked here, once, so a caller can check them before it
+    computes any left side. The last _FAMILY_MEMO_SIZE argument sets keep
+    their evaluator; a bad s or q raises on every call and is not kept.
+    The key is the call's form, so this package passes all four arguments.
+
+    Each evaluation reads the point's stencil and quadrant sums from
+    _stencil, where one mixed-partial call on the nine-point stencil fills
+    them. A point outside rect raises ValueError; a power too large for a
+    float raises EvalError naming the family, f and pt. The evaluator's
+    lattice(f, rect, xs, ys) is _lattice_rhs with the same formula.
     """
-    on_stencil = family_stencil_rhs(theorem, s, q, constant_mode)
+    if theorem not in _FAMILY_NAMES:
+        raise ValueError(f"{theorem} is not a bound family (t1, t2, t3)")
+    SExponent(s)
+    s1 = s + 1.0
+    if theorem is TheoremId.T1:
+        formula = lambda D, rect, pt, quadrant_sum=None: _t1(D, rect, pt, s)
+    elif q is None:
+        raise ValueError(f"the {_FAMILY_NAMES[theorem]} family needs q")
+    elif theorem is TheoremId.T2:
+        kernel = holder_kernel_constant(make_holder_pair(q).p)
+        formula = lambda D, rect, pt, quadrant_sum=_quadrant_sum: (
+            quadrant_sum(D, rect, pt, q, 1.0, 1.0) * kernel / s1 ** (2.0 / q))
+    else:
+        PowerMeanQ(q)
+        scale = power_mean_prefactor(q, constant_mode) / (s1 * (s + 2.0)) ** (2.0 / q)
+        formula = lambda D, rect, pt, quadrant_sum=_quadrant_sum: (
+            scale * quadrant_sum(D, rect, pt, q, s1, s1 ** 2))
 
     def rhs(f: Surface, rect: Rect, pt: EvalPoint) -> float:
         try:
             D, quadrant_sum = _stencil(f, rect, pt.x, pt.y)
-            return on_stencil(D, rect, pt, quadrant_sum)
+            return formula(D, rect, pt, quadrant_sum)
         except OverflowError:
             raise EvalError(f"{theorem.value} right side of {f.name} overflows a float "
                             f"at ({pt.x}, {pt.y})") from None
 
+    rhs.lattice = partial(_lattice_rhs, formula)
     return rhs
 
 
 def t1_rhs(f: Surface, rect: Rect, pt: EvalPoint, s: float) -> float:
     """First-power bound, grouped by evaluation point."""
-    return family_rhs(TheoremId.T1, s)(f, rect, pt)
+    return family_rhs(TheoremId.T1, s, None, PrefactorMode.VERBATIM)(f, rect, pt)
 
 
 def t2_rhs(f: Surface, rect: Rect, pt: EvalPoint, s: float, q: float) -> float:
     """Holder-type bound; q > 1, conjugate p = q/(q-1)."""
-    return family_rhs(TheoremId.T2, s, q)(f, rect, pt)
+    return family_rhs(TheoremId.T2, s, q, PrefactorMode.VERBATIM)(f, rect, pt)
 
 
 def t3_rhs(f: Surface, rect: Rect, pt: EvalPoint, s: float, q: float,
@@ -359,7 +390,7 @@ def _certify_family(family: TheoremId, f: Surface, rect: Rect, s: float,
                     q: float | None, sampler: SamplerConfig) -> bool:
     """Certify the family's hypothesis on |D| (|D|^q for t2 and t3), after
     checking s and q."""
-    family_rhs(family, s, q)
+    family_rhs(family, s, q, PrefactorMode.VERBATIM)
     return _certify_abs_mixed(f, rect, s, 1.0 if family is TheoremId.T1 else q, sampler)
 
 
@@ -460,7 +491,7 @@ def remark_aggregate(remark: TheoremId, f: Surface, rect: Rect, s: float,
     family = _AGGREGATE_FAMILY.get(remark)
     if family is None:
         raise ValueError(f"not an aggregate id: {remark}")
-    rhs_at = family_rhs(family, s, q)
+    rhs_at = family_rhs(family, s, q, PrefactorMode.VERBATIM)
     area = rect.area
     lhs_at = lemma_lhs_at(f, rect, NormalizationMode.CORRECTED, cfg)
     lhs = sum(area * abs(lhs_at(p)) for p in rect.corners())

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .analysis import compare_families, scan_gap, sweep_s
 from .bounds import (_POINT_IDS, BOUND_ABS_TOL, CHAIN_TOL, BoundReport, TheoremId,
-                     _certify_family, _point_report, chain_evaluate)
+                     _certify_family, _point_report, chain_evaluate, margin_holds)
 from .domain import (BadExponent, DegenerateRect, EvalPoint, NormalizationMode,
                      PrefactorMode, Rect, make_rect)
 from .identity import lemma_residual
@@ -271,7 +271,8 @@ def _bound_table(key: str, reports, tol: float | None):
     by the theorem and its constant.
     """
     if tol is not None:
-        reports = [dataclasses.replace(r, tol=tol, holds=r.margin >= -tol) for r in reports]
+        reports = [dataclasses.replace(r, tol=tol, holds=margin_holds(r.margin, r.rhs, tol))
+                   for r in reports]
     by_s = key == "s"
     header = [key, *([] if by_s else ["constant"]), "lhs", "rhs", "margin", "holds"]
     rows, human = [], []
@@ -383,6 +384,7 @@ def cmd_scan(ns) -> int:
     _check_choice("--scan-kind", kind, ("gap", "sweep", "compare"))
     f, rect, config = _surface(ns)
     mode = _get_mode(ns)
+    # the absolute part: without --tol, margin_holds adds BOUND_REL_TOL * |rhs|
     tol = ns.tol if ns.tol is not None else BOUND_ABS_TOL
     theorem = (ns.theorem or "t1").lower()
     if kind == "compare":
@@ -409,7 +411,8 @@ def cmd_scan(ns) -> int:
         gap = scan_gap(family, f, rect, s, ns.q, grid_n, cmode, mode, QuadConfig())
         rows = results = gap.table()     # both writers take the lattice as it is
         header = list(rows.names)
-        violation = (not math.isnan(gap.min_margin)) and gap.min_margin < -tol
+        margins = gap.grid[:, 4]          # each cell by its own rhs, as bound does
+        violation = not (margin_holds(margins, gap.grid[:, 3], ns.tol) | np.isnan(margins)).all()
         ok = not violation and not gap.errors
         summary = {"grid_shape": list(gap.grid_shape),
                    "min_margin": _jf(gap.min_margin),

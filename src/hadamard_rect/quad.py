@@ -24,7 +24,7 @@ from .domain import PrefactorMode, Rect
 from .surfaces import EvalError, Poly2, power_integrals
 
 __all__ = [
-    "QuadConfig", "IntegralResult", "ToleranceNotMet", "gauss_legendre",
+    "QuadConfig", "DEEP", "IntegralResult", "ToleranceNotMet", "gauss_legendre",
     "integrate_1d", "integrate_2d", "poly_integral_exact", "kernel_moment",
     "holder_kernel_constant", "power_mean_prefactor",
 ]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hadamard_rect.bounds import (BOUND_ABS_TOL, BOUND_REL_TOL, Corner,
                                   TheoremId, chain_evaluate, corner_report,
-                                  midpoint_report, remark_aggregate,
+                                  margin_holds, midpoint_report, remark_aggregate,
                                   t1_report, t1_rhs, t2_report, t2_rhs,
                                   t3_report, t3_rhs)
 from hadamard_rect.domain import (EvalPoint, NormalizationMode, PrefactorMode,
@@ -160,6 +160,16 @@ def test_report_fields_are_consistent():
     assert rep.params["point"] == (1.0, 0.5)
     assert rep.params["s"] == 0.5
     assert rep.params["mode"] == "corrected"
+
+
+@pytest.mark.parametrize("margin, holds", [(-0.5e-6, True), (-1.5e-6, False)])
+def test_holds_flips_where_the_relative_tolerance_says(margin, holds):
+    # on rhs 1e6 the tolerance is 1e-10 + 1e-12 * 1e6 = 1.0001e-6
+    assert margin_holds(margin, 1e6) == holds
+    assert margin_holds(np.array([margin, 0.0]), np.array([1e6, 1e6])).tolist() == [holds, True]
+    # an explicit tol is absolute
+    assert not margin_holds(margin, 1e6, 1e-10)
+    assert margin_holds(margin, 1e6, 2e-6)
 
 
 def test_reports_hold_across_catalog_spot_checks():

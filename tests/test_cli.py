@@ -19,9 +19,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hadamard_rect import bounds, cli
+from hadamard_rect.analysis import GapSurface
 from hadamard_rect.suite import CheckResult
 
 DATA = Path(__file__).parent / "data"
@@ -376,6 +378,35 @@ def test_scan_grid_above_the_limit_is_one_error_line():
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
     assert "512" in lines[0]
+
+
+# t3 at q = 1 on [0,1000]^2 misses by 6.1e-05 at the corner (0, 0), inside
+# the 0.444 its rhs of 4.4e11 earns, and outside an absolute --tol
+WIDE_T3 = ("--catalog", "u2v2", "--rect", "0,1000,0,1000", "--theorem", "t3", "--q", "1",
+           "--format", "json")
+
+
+@pytest.mark.parametrize("tol, code", [((), 0), (("--tol", "1e-10"), 1)],
+                         ids=["own-tolerance", "absolute-tol"])
+def test_a_gap_scan_judges_each_cell_as_bound_does(tol, code, capsys):
+    assert cli.main(["bound", *WIDE_T3, "--point", "0,0", *tol]) == code
+    (bound,) = json.loads(capsys.readouterr().out)["results"]
+    assert cli.main(["scan", *WIDE_T3, "--grid", "2", *tol]) == code
+    scan = json.loads(capsys.readouterr().out)["summary"]
+    assert (scan["argmin"], scan["min_margin"]) == ([0.0, 0.0], bound["margin"])
+    assert bound["margin"] < 0
+    assert scan["violation"] is not bound["holds"]
+
+
+@pytest.mark.parametrize("margin, code", [(-0.5e-6, 0), (-1.5e-6, 1)])
+def test_the_gap_verdict_flips_where_the_relative_tolerance_says(margin, code, monkeypatch,
+                                                                 capsys):
+    # every cell has rhs 1e6, whose tolerance is 1e-10 + 1e-12 * 1e6 = 1.0001e-6
+    rows = [(x, y, 1e6 - margin, 1e6, margin) for y in (0.0, 1.0) for x in (0.0, 1.0)]
+    gap = GapSurface(np.array(rows), (2, 2), margin, (0.0, 0.0), (), {})
+    monkeypatch.setattr(cli, "scan_gap", lambda *args: gap)
+    assert cli.main(["scan", "--catalog", "uv", "--grid", "1", "--format", "json"]) == code
+    assert json.loads(capsys.readouterr().out)["summary"]["violation"] is bool(code)
 
 
 def test_scan_sweep_trend():

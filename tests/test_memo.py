@@ -27,14 +27,14 @@ POINTS = (EvalPoint(0.5, 1.0), EvalPoint(1.25, 2.5), EvalPoint(2.5, 3.0), OFF.mi
 def _empty_memos():
     identity._lhs_parts.cache_clear()
     bounds._stencil.cache_clear()
-    bounds.family_stencil_rhs.cache_clear()
+    bounds.family_rhs.cache_clear()
 
 
 def test_conftest_empties_exactly_the_bounded_memos(bounded_memos):
     # a new memo is a deliberate edit of this set
     assert set(bounded_memos) == {
         "hadamard_rect.surfaces.parse_surface", "hadamard_rect.identity._lhs_parts",
-        "hadamard_rect.bounds.family_stencil_rhs", "hadamard_rect.bounds._stencil"}
+        "hadamard_rect.bounds.family_rhs", "hadamard_rect.bounds._stencil"}
     # the unbounded pure tables stay warm from test to test
     for table in (quad.gauss_legendre, quad._tensor_rule, cli._parser):
         assert table.cache_parameters()["maxsize"] is None
@@ -296,11 +296,21 @@ def test_each_family_evaluator_is_built_once_per_key():
         t2_rhs(f, OFF, pt, 0.5, 3.0)
         t3_rhs(f, OFF, pt, 0.5, 2.0, PrefactorMode.SHARPENED)
         t3_rhs(f, OFF, pt, 0.5, 2.0)
-    info = bounds.family_stencil_rhs.cache_info()
+    info = bounds.family_rhs.cache_info()
     assert (info.misses, info.currsize) == (4, 4)
     assert info.hits == 4 * (len(POINTS) - 1)
-    assert (bounds.family_stencil_rhs(bounds.TheoremId.T2, 0.5, 3.0)
-            is bounds.family_stencil_rhs(bounds.TheoremId.T2, 0.5, 3.0))
+    assert (bounds.family_rhs(bounds.TheoremId.T2, 0.5, 3.0)
+            is bounds.family_rhs(bounds.TheoremId.T2, 0.5, 3.0))
+
+
+def test_right_sides_reports_and_aggregates_share_one_evaluator_per_exponent_set():
+    f = catalog_lookup("u2v2")
+    t1_rhs(f, OFF, POINTS[1], 0.5)
+    t2_rhs(f, OFF, POINTS[1], 0.5, 2.0)
+    corner_report(TheoremId.T1, Corner.AC, f, OFF, 0.5)
+    midpoint_report(TheoremId.T2, f, OFF, 0.5, 2.0)
+    remark_aggregate(TheoremId.R_METU, f, OFF, 0.5, 2.0)
+    assert bounds.family_rhs.cache_info().misses == 2
 
 
 def test_a_bad_exponent_raises_every_time_and_is_never_remembered():
@@ -314,7 +324,7 @@ def test_a_bad_exponent_raises_every_time_and_is_never_remembered():
                      lambda: t3_rhs(f, OFF, pt, 0.5, 2.0, "bogus")):
             with pytest.raises(ValueError):
                 call()
-    assert bounds.family_stencil_rhs.cache_info().currsize == 0
+    assert bounds.family_rhs.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("first,second", [(2, 2.0), (2.0, 2)], ids=["int-first", "float-first"])
