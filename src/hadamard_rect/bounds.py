@@ -3,11 +3,14 @@ of |d^2 f / du dv| (or its q-th power), plus the five-term mean chain.
 
 Three families, each written once as a function of |D| on the nine points
 {a, x, b} x {c, y, d}, which one mixed-partial call per point evaluates.
-family_rhs is an lru_cache of one evaluator per (family, s, q, constant
-mode). At a point it reads the stencil from an lru_cache of the last
-_STENCIL_MEMO_SIZE (f, rect, point)s, which also keeps the quadrant sums t2
-and t3 take, per (q, edge weight, corner weight): every family, s,
-constant mode and specialization at a point shares them. Its lattice form
+family_rhs returns one cached evaluator per formula: s for t1, (s, q) for
+t2, (s, q, constant mode) for t3. At a point the evaluator reads the
+stencil from an lru_cache of the last _STENCIL_MEMO_SIZE (f, rect, point)s,
+which also keeps the quadrant sums t2 and t3 take, per (q, edge weight,
+corner weight): every family, s, constant mode and specialization at a
+point shares them. Every key holds only values that hash in C (floats,
+identity-hashed surfaces and enum members, and a Rect's hash computed at
+construction), so a warm right side runs no Python-level hash. Its lattice form
 gets every cell's nine from one call on the lattice and runs the same
 formula once, on arrays in place of the floats:
 
@@ -32,14 +35,13 @@ from __future__ import annotations
 import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import repeat
 
 import numpy as np
 
-from .domain import (EvalPoint, NormalizationMode, PowerMeanQ,
+from .domain import (EvalPoint, IdentityHashEnum, NormalizationMode, PowerMeanQ,
                      PrefactorMode, Rect, SExponent, make_holder_pair)
 from .identity import _check_point, lemma_lhs, lemma_lhs_at
 from .quad import (DEEP, QuadConfig, integrate_1d, integrate_2d,
@@ -63,7 +65,7 @@ BOUND_REL_TOL = 1e-12
 CHAIN_TOL = 1e-10
 
 
-class TheoremId(Enum):
+class TheoremId(IdentityHashEnum):
     T1 = "t1"
     T2 = "t2"
     T3 = "t3"
@@ -87,7 +89,7 @@ class TheoremId(Enum):
     R_FINAL = "r_final"
 
 
-class Corner(Enum):
+class Corner(IdentityHashEnum):
     """Corner where a specialization pins (x, y); canonical order."""
 
     AC = "ac"
@@ -233,7 +235,7 @@ def _quadrant_sum(D: Stencil, rect: Rect, pt: EvalPoint, q: float,
     return acc
 
 
-# (theorem, s, q, constant mode) evaluators family_rhs keeps: every
+# (theorem, s, q, constant mode) evaluators _family_evaluator keeps: every
 # exponent set of a battery
 _FAMILY_MEMO_SIZE = 256
 # |D| stencils of the last _STENCIL_MEMO_SIZE (f, rect, point)s, f matched
@@ -310,24 +312,11 @@ def _lattice_rhs(formula: Callable[..., float], f: Surface, rect: Rect,
 
 
 @lru_cache(maxsize=_FAMILY_MEMO_SIZE)
-def family_rhs(theorem: TheoremId, s: float, q: float | None = None,
-               constant_mode: PrefactorMode = PrefactorMode.VERBATIM
-               ) -> Callable[[Surface, Rect, EvalPoint], float]:
-    """The right side of family t1, t2 or t3 as a function of (f, rect, pt).
-
-    s and q are checked here, once, so a caller can check them before it
-    computes any left side. The last _FAMILY_MEMO_SIZE argument sets keep
-    their evaluator; a bad s or q raises on every call and is not kept.
-    The key is the call's form, so this package passes all four arguments.
-
-    Each evaluation reads the point's stencil and quadrant sums from
-    _stencil, where one mixed-partial call on the nine-point stencil fills
-    them. A point outside rect raises ValueError; a power too large for a
-    float raises EvalError naming the family, f and pt. The evaluator's
-    lattice(f, rect, xs, ys) is _lattice_rhs with the same formula.
-    """
-    if theorem not in _FAMILY_NAMES:
-        raise ValueError(f"{theorem} is not a bound family (t1, t2, t3)")
+def _family_evaluator(theorem: TheoremId, s: float, q: float | None,
+                      constant_mode: PrefactorMode
+                      ) -> Callable[[Surface, Rect, EvalPoint], float]:
+    """family_rhs's evaluator, kept per key. Every caller passes the key
+    positionally in family_rhs's normal form, so one formula is one entry."""
     SExponent(s)
     s1 = s + 1.0
     if theorem is TheoremId.T1:
@@ -356,20 +345,51 @@ def family_rhs(theorem: TheoremId, s: float, q: float | None = None,
     return rhs
 
 
+def family_rhs(theorem: TheoremId, s: float, q: float | None = None,
+               constant_mode: PrefactorMode = PrefactorMode.VERBATIM
+               ) -> Callable[[Surface, Rect, EvalPoint], float]:
+    """The right side of family t1, t2 or t3 as a function of (f, rect, pt).
+
+    s and q are checked here, once, so a caller can check them before it
+    computes any left side. The evaluator is kept per formula: the key is
+    what the family reads, s for t1, (s, q) for t2 and (s, q, constant
+    mode) for t3, with a mode's string value read as its member, however
+    the call is written. The last _FAMILY_MEMO_SIZE keys keep their
+    evaluator; a bad s or q raises on every call and is not kept.
+
+    Each evaluation reads the point's stencil and quadrant sums from
+    _stencil, where one mixed-partial call on the nine-point stencil fills
+    them. A point outside rect raises ValueError; a power too large for a
+    float raises EvalError naming the family, f and pt. The evaluator's
+    lattice(f, rect, xs, ys) is _lattice_rhs with the same formula.
+    """
+    if theorem is TheoremId.T1:
+        return _family_evaluator(theorem, s, None, PrefactorMode.VERBATIM)
+    if theorem is TheoremId.T2:
+        return _family_evaluator(theorem, s, q, PrefactorMode.VERBATIM)
+    if theorem is TheoremId.T3:
+        if type(constant_mode) is not PrefactorMode:
+            constant_mode = PrefactorMode(constant_mode)
+        return _family_evaluator(theorem, s, q, constant_mode)
+    raise ValueError(f"{theorem} is not a bound family (t1, t2, t3)")
+
+
 def t1_rhs(f: Surface, rect: Rect, pt: EvalPoint, s: float) -> float:
     """First-power bound, grouped by evaluation point."""
-    return family_rhs(TheoremId.T1, s, None, PrefactorMode.VERBATIM)(f, rect, pt)
+    return _family_evaluator(TheoremId.T1, s, None, PrefactorMode.VERBATIM)(f, rect, pt)
 
 
 def t2_rhs(f: Surface, rect: Rect, pt: EvalPoint, s: float, q: float) -> float:
     """Holder-type bound; q > 1, conjugate p = q/(q-1)."""
-    return family_rhs(TheoremId.T2, s, q, PrefactorMode.VERBATIM)(f, rect, pt)
+    return _family_evaluator(TheoremId.T2, s, q, PrefactorMode.VERBATIM)(f, rect, pt)
 
 
 def t3_rhs(f: Surface, rect: Rect, pt: EvalPoint, s: float, q: float,
            constant_mode: PrefactorMode = PrefactorMode.VERBATIM) -> float:
     """Power-mean bound; q >= 1. At q = 1 it equals t1_rhs exactly."""
-    return family_rhs(TheoremId.T3, s, q, constant_mode)(f, rect, pt)
+    if type(constant_mode) is not PrefactorMode:
+        constant_mode = PrefactorMode(constant_mode)
+    return _family_evaluator(TheoremId.T3, s, q, constant_mode)(f, rect, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +410,7 @@ def _certify_family(family: TheoremId, f: Surface, rect: Rect, s: float,
                     q: float | None, sampler: SamplerConfig) -> bool:
     """Certify the family's hypothesis on |D| (|D|^q for t2 and t3), after
     checking s and q."""
-    family_rhs(family, s, q, PrefactorMode.VERBATIM)
+    family_rhs(family, s, q)
     return _certify_abs_mixed(f, rect, s, 1.0 if family is TheoremId.T1 else q, sampler)
 
 
@@ -401,7 +421,10 @@ def _point_report(tid: TheoremId, f: Surface, rect: Rect, pt: EvalPoint | None,
     """Report of any id in _POINT_IDS: a family at pt, or a specialization,
     its family at its corner or at the midpoint (pt is then unused)."""
     family, where = _POINT_IDS[tid]
-    mode, constant_mode = NormalizationMode(mode), PrefactorMode(constant_mode)
+    if type(mode) is not NormalizationMode:
+        mode = NormalizationMode(mode)
+    if type(constant_mode) is not PrefactorMode:
+        constant_mode = PrefactorMode(constant_mode)
     extra = {}
     if where == "mid":
         pt = rect.midpoint()
@@ -491,7 +514,7 @@ def remark_aggregate(remark: TheoremId, f: Surface, rect: Rect, s: float,
     family = _AGGREGATE_FAMILY.get(remark)
     if family is None:
         raise ValueError(f"not an aggregate id: {remark}")
-    rhs_at = family_rhs(family, s, q, PrefactorMode.VERBATIM)
+    rhs_at = family_rhs(family, s, q)
     area = rect.area
     lhs_at = lemma_lhs_at(f, rect, NormalizationMode.CORRECTED, cfg)
     lhs = sum(area * abs(lhs_at(p)) for p in rect.corners())

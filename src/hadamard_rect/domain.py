@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 
 
 class DegenerateRect(ValueError):
@@ -21,7 +22,31 @@ class BadExponent(ValueError):
     """Parameter outside its legal range (s, q, or a Holder pair)."""
 
 
-class NormalizationMode(Enum):
+class IdentityHashEnum(Enum):
+    """An Enum whose members hash by identity, in C.
+
+    Members compare by identity, so object.__hash__ agrees with equality;
+    Enum's own __hash__ is a Python function, which every memo key holding
+    a member would run on each lookup. The hash changes from process to
+    process, so no output may depend on the order of a set of members.
+    """
+
+    __hash__ = object.__hash__
+
+
+# __hash__ of a frozen value type whose hash is computed once, at
+# construction, by store_hash: a property whose getter is C code and returns
+# the stored int's bound __index__, so hash() of the value runs no Python
+# frame and a memo keyed on it costs one C lookup
+STORED_HASH = property(attrgetter("_hash"))
+
+
+def store_hash(obj, fields: tuple) -> None:
+    """Store hash(fields) as obj's hash; obj's class sets __hash__ = STORED_HASH."""
+    object.__setattr__(obj, "_hash", hash(fields).__index__)
+
+
+class NormalizationMode(IdentityHashEnum):
     """How the corner term of the identity is normalized.
 
     VERBATIM divides the corner sum by the rectangle area (dimensionally
@@ -33,7 +58,7 @@ class NormalizationMode(Enum):
     CORRECTED = "corrected"
 
 
-class PrefactorMode(Enum):
+class PrefactorMode(IdentityHashEnum):
     """Constant in front of the power-mean bound family.
 
     VERBATIM is the printed constant 2^(2-2/q). SHARPENED is 2^(2/q-2),
@@ -50,12 +75,17 @@ class PrefactorMode(Enum):
 class Rect:
     """Axis-aligned rectangle [a,b] x [c,d] with a < b and c < d, whose
     width b - a, height d - c and area are finite and greater than 0 as
-    floats, so dividing by any of them is safe."""
+    floats, so dividing by any of them is safe.
+
+    area, (b - a) * (d - c), and the hash, that of (a, b, c, d) as a frozen
+    dataclass hashes, are computed once, at construction."""
 
     a: float
     b: float
     c: float
     d: float
+
+    __hash__ = STORED_HASH
 
     def __post_init__(self):
         if not (self.a < self.b and self.c < self.d):
@@ -66,14 +96,13 @@ class Rect:
             if not math.isfinite(val):
                 raise DegenerateRect("rectangle coordinates must be finite")
         width, height = self.b - self.a, self.d - self.c
-        if not all(0.0 < v < math.inf for v in (width, height, width * height)):
+        area = width * height
+        if not all(0.0 < v < math.inf for v in (width, height, area)):
             raise DegenerateRect(
-                f"width {width}, height {height} and area {width * height} must be "
+                f"width {width}, height {height} and area {area} must be "
                 f"finite and greater than 0, got [{self.a},{self.b}]x[{self.c},{self.d}]")
-
-    @property
-    def area(self) -> float:
-        return (self.b - self.a) * (self.d - self.c)
+        object.__setattr__(self, "area", area)
+        store_hash(self, (self.a, self.b, self.c, self.d))
 
     def corners(self) -> tuple["EvalPoint", ...]:
         """Corners in the canonical order (a,c), (a,d), (b,c), (b,d)."""

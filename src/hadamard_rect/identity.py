@@ -25,7 +25,7 @@ Once its four corner values, four edge integrals and area integral are
 known, the left side is bilinear in (x, y), and those nine numbers depend
 only on (f, rect). lemma_lhs_at computes them once, remembers them for
 the next queries on that (f, rect), and returns the left side as a
-function of the point; lemma_lhs is one call of it.
+function of the point; lemma_lhs reads the same entry at one point.
 
 Polynomial surfaces get a fully rational path: every term above is a
 polynomial integral, so the residual can be shown to vanish exactly. There
@@ -50,7 +50,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -176,6 +176,19 @@ def _exact_lhs(f: Surface, ks, x, y) -> float:
         raise _overflow(f, "left side", x, y) from None
 
 
+def _lhs_xy(f: Surface, rect: Rect, mode: NormalizationMode, cfg: QuadConfig,
+            use_exact: bool) -> Callable[[float, float], float]:
+    """The signed left-hand side as a function of the coordinates (x, y),
+    which it does not check: the one choice of path for lemma_lhs and
+    lemma_lhs_at. Its parts come from _lhs_parts, so its errors do too."""
+    if type(mode) is not NormalizationMode:
+        mode = NormalizationMode(mode)
+    if use_exact and f.poly is not None:
+        return partial(_exact_lhs, f, _lhs_parts(f, rect, None)[mode])
+    r, fc, edges, whole = _lhs_parts(f, rect, cfg)
+    return partial(_lhs_combination, r, fc=fc, edges=edges, whole=whole, mode=mode)
+
+
 def lemma_lhs_at(f: Surface, rect: Rect,
                  mode: NormalizationMode = NormalizationMode.CORRECTED,
                  cfg: QuadConfig = QuadConfig(), use_exact: bool = True
@@ -191,20 +204,11 @@ def lemma_lhs_at(f: Surface, rect: Rect,
     On the rational path a call is one integer division (module docstring),
     and a value too large for a float raises EvalError.
     """
-    mode = NormalizationMode(mode)
-    if use_exact and f.poly is not None:
-        ks = _lhs_parts(f, rect, None)[mode]
-
-        def at(pt: EvalPoint) -> float:
-            _check_point(rect, pt)
-            return _exact_lhs(f, ks, pt.x, pt.y)
-
-        return at
-    r, fc, edges, whole = _lhs_parts(f, rect, cfg)
+    lhs = _lhs_xy(f, rect, mode, cfg, use_exact)
 
     def at(pt: EvalPoint) -> float:
         _check_point(rect, pt)
-        return _lhs_combination(r, pt.x, pt.y, fc, edges, whole, mode)
+        return lhs(pt.x, pt.y)
 
     return at
 
@@ -250,10 +254,11 @@ def lemma_lhs(f: Surface, rect: Rect, pt: EvalPoint,
     Polynomial surfaces go through the rational oracle unless use_exact is
     switched off (the boundary integrals and the area integral are then
     Gauss-Legendre like everything else). Points on one (f, rect) share
-    its integrals through lemma_lhs_at.
+    its integrals, as lemma_lhs_at's do; a point outside rect raises
+    ValueError before any of them is computed.
     """
     _check_point(rect, pt)
-    return lemma_lhs_at(f, rect, mode, cfg, use_exact)(pt)
+    return _lhs_xy(f, rect, mode, cfg, use_exact)(pt.x, pt.y)
 
 
 def _rhs_terms(f: Surface, rect: Rect, pt: EvalPoint,

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import PrefactorMode, Rect
+from .domain import STORED_HASH, PrefactorMode, Rect, store_hash
 from .surfaces import EvalError, Poly2, power_integrals
 
 __all__ = [
@@ -46,13 +46,19 @@ class ToleranceNotMet(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadConfig:
+    """Gauss-Legendre order, subdivision cap and absolute tolerance; hashed
+    once, at construction, as a frozen dataclass hashes its fields."""
+
     gl_order: int = 32
     max_subdiv: int = 10
     abs_tol: float = 1e-11
 
+    __hash__ = STORED_HASH
+
     def __post_init__(self):
         if self.gl_order < 2 or self.max_subdiv < 0 or self.abs_tol <= 0:
             raise ValueError(f"bad quadrature config {self}")
+        store_hash(self, (self.gl_order, self.max_subdiv, self.abs_tol))
 
 
 # deeper defaults for integrands with endpoint singularities (t^s, s < 1);

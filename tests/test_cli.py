@@ -77,6 +77,28 @@ def test_source_date_epoch_pins_timestamp():
     assert json.loads(res.stdout)["timestamp"] == "1970-01-01T00:00:00+00:00"
 
 
+# a t3 report in both constant modes, a family comparison and a gap scan
+HASH_SEED_ARGS = (
+    ("bound", "--catalog", "u2v2", "--theorem", "t3", "--t3-constant", "both", "--q", "2",
+     "--format", "json"),
+    ("scan", "--scan-kind", "compare", "--catalog", "u2v2", "--s", "0.5", "--q", "2",
+     "--format", "json"),
+    ("scan", "--catalog", "uv", "--rect", "0,2,0,1", "--grid", "4", "--theorem", "t3",
+     "--q", "2", "--format", "json"),
+)
+
+
+@pytest.mark.parametrize("args", HASH_SEED_ARGS, ids=["bound", "compare", "gap"])
+def test_reports_do_not_depend_on_how_the_process_hashes(args):
+    # enum members hash by address and strings by PYTHONHASHSEED, so two
+    # processes hash them differently; the bytes must not move
+    runs = [subprocess.Popen([*CLI, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=cli_env(PYTHONHASHSEED=seed)) for seed in ("1", "2")]
+    outs = [run.communicate(timeout=60) + (run.returncode,) for run in runs]
+    assert outs[0][2] == 0 and outs[0][0]
+    assert outs[0] == outs[1]
+
+
 def test_out_writes_report_file(tmp_path):
     target = tmp_path / "report.json"
     res = run_cli("bound", "--catalog", "uv", "--out", str(target),

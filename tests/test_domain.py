@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,33 @@ def test_rect_whose_width_height_or_area_is_not_a_positive_finite_float_is_rejec
 
 def test_rect_with_a_subnormal_area_is_accepted():
     assert Rect(0.0, 1e-160, 0.0, 1e-160).area > 0.0
+
+
+_COORD = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@given(a=_COORD, c=_COORD, w=st.floats(1e-3, 1e6), h=st.floats(1e-3, 1e6))
+def test_rect_area_and_hash_are_those_of_its_fields(a, c, w, h):
+    b, d = a + w, c + h
+    r = Rect(a, b, c, d)
+    # computed once at construction, with the bits the formula gives
+    assert r.area == (b - a) * (d - c)
+    # the hash a frozen dataclass gives its fields, also after replace()
+    assert hash(r) == hash((a, b, c, d))
+    moved = dataclasses.replace(Rect(a, b + 1.0, c, d), b=b)
+    assert moved == r and hash(moved) == hash(r) and moved.area == r.area
+
+
+def test_rect_fields_repr_equality_and_pickling_are_unchanged():
+    r = Rect(0.5, 2.5, 1.0, 3.0)
+    assert [fd.name for fd in dataclasses.fields(r)] == ["a", "b", "c", "d"]
+    assert repr(r) == "Rect(a=0.5, b=2.5, c=1.0, d=3.0)"
+    assert r == make_rect(0.5, 2.5, 1, 3) and r != Rect(0.5, 2.5, 1.0, 3.5)
+    assert dataclasses.astuple(r) == (0.5, 2.5, 1.0, 3.0)
+    copy = pickle.loads(pickle.dumps(r))
+    assert (copy, hash(copy), copy.area) == (r, hash(r), r.area)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.area = 1.0
 
 
 def test_contains_includes_boundary():

@@ -5,6 +5,7 @@ reuse earlier work and give the values a cold call gives.
 tests/conftest.py empties every bounded memo before each test.
 """
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 from hadamard_rect import bounds, cli, identity, quad
 from hadamard_rect.bounds import (Corner, TheoremId, corner_report, midpoint_report,
                                   remark_aggregate, t1_rhs, t2_rhs, t3_rhs)
-from hadamard_rect.domain import EvalPoint, NormalizationMode, PrefactorMode, Rect
+from hadamard_rect.domain import EvalPoint, NormalizationMode, PrefactorMode, Rect, make_rect
 from hadamard_rect.identity import lemma_lhs
-from hadamard_rect.quad import ToleranceNotMet
+from hadamard_rect.quad import QuadConfig, ToleranceNotMet
 from hadamard_rect.surfaces import EvalError, ParseError, catalog_lookup, parse_surface
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0)
@@ -27,14 +28,14 @@ POINTS = (EvalPoint(0.5, 1.0), EvalPoint(1.25, 2.5), EvalPoint(2.5, 3.0), OFF.mi
 def _empty_memos():
     identity._lhs_parts.cache_clear()
     bounds._stencil.cache_clear()
-    bounds.family_rhs.cache_clear()
+    bounds._family_evaluator.cache_clear()
 
 
 def test_conftest_empties_exactly_the_bounded_memos(bounded_memos):
     # a new memo is a deliberate edit of this set
     assert set(bounded_memos) == {
         "hadamard_rect.surfaces.parse_surface", "hadamard_rect.identity._lhs_parts",
-        "hadamard_rect.bounds.family_rhs", "hadamard_rect.bounds._stencil"}
+        "hadamard_rect.bounds._family_evaluator", "hadamard_rect.bounds._stencil"}
     # the unbounded pure tables stay warm from test to test
     for table in (quad.gauss_legendre, quad._tensor_rule, cli._parser):
         assert table.cache_parameters()["maxsize"] is None
@@ -113,6 +114,23 @@ def test_left_side_table_stays_within_its_bound():
     misses = identity._lhs_parts.cache_info().misses
     assert lemma_lhs(f, rects[0], EvalPoint(0.5, 0.5)) == first
     assert identity._lhs_parts.cache_info().misses == misses + 1
+
+
+def test_equal_rects_and_configs_built_apart_share_memo_entries():
+    f, pt = catalog_lookup("u2.5v2"), POINTS[1]
+    rects = (Rect(0.5, 2.5, 1.0, 3.0), make_rect(0.5, 2.5, 1, 3),
+             dataclasses.replace(Rect(0.5, 9.0, 1.0, 3.0), b=2.5))
+    cfgs = (QuadConfig(24, 12, 1e-11), QuadConfig(gl_order=24, max_subdiv=12, abs_tol=1e-11),
+            dataclasses.replace(QuadConfig(24), max_subdiv=12))
+    for group in (rects, cfgs):
+        assert len({id(x) for x in group}) == 3
+        assert len(set(group)) == 1 and len({hash(x) for x in group}) == 1
+    want = (lemma_lhs(f, rects[0], pt, cfg=cfgs[0]), t2_rhs(f, rects[0], pt, 0.5, 3.0))
+    for rect, cfg in zip(rects[1:], cfgs[1:]):
+        assert (lemma_lhs(f, rect, pt, cfg=cfg), t2_rhs(f, rect, pt, 0.5, 3.0)) == want
+    for memo in (identity._lhs_parts, bounds._stencil):
+        info = memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +314,7 @@ def test_each_family_evaluator_is_built_once_per_key():
         t2_rhs(f, OFF, pt, 0.5, 3.0)
         t3_rhs(f, OFF, pt, 0.5, 2.0, PrefactorMode.SHARPENED)
         t3_rhs(f, OFF, pt, 0.5, 2.0)
-    info = bounds.family_rhs.cache_info()
+    info = bounds._family_evaluator.cache_info()
     assert (info.misses, info.currsize) == (4, 4)
     assert info.hits == 4 * (len(POINTS) - 1)
     assert (bounds.family_rhs(bounds.TheoremId.T2, 0.5, 3.0)
@@ -310,7 +328,37 @@ def test_right_sides_reports_and_aggregates_share_one_evaluator_per_exponent_set
     corner_report(TheoremId.T1, Corner.AC, f, OFF, 0.5)
     midpoint_report(TheoremId.T2, f, OFF, 0.5, 2.0)
     remark_aggregate(TheoremId.R_METU, f, OFF, 0.5, 2.0)
-    assert bounds.family_rhs.cache_info().misses == 2
+    assert bounds._family_evaluator.cache_info().misses == 2
+
+
+def test_one_evaluator_per_formula_however_the_call_is_written():
+    T1, T2, T3 = TheoremId.T1, TheoremId.T2, TheoremId.T3
+    f, pt = catalog_lookup("u2v2"), POINTS[1]
+    # t1 reads s alone, t2 s and q, t3 s, q and the constant mode
+    t1 = bounds.family_rhs(T1, 0.5)
+    assert all(e is t1 for e in (
+        bounds.family_rhs(T1, 0.5, 3.0), bounds.family_rhs(T1, s=0.5),
+        bounds.family_rhs(T1, 0.5, None, PrefactorMode.SHARPENED)))
+    t2 = bounds.family_rhs(T2, 0.5, 3.0)
+    assert all(e is t2 for e in (
+        bounds.family_rhs(T2, 0.5, 3.0, PrefactorMode.VERBATIM),
+        bounds.family_rhs(T2, 0.5, q=3.0), bounds.family_rhs(T2, 0.5, 3.0, "sharpened")))
+    t3 = bounds.family_rhs(T3, 0.5, 2.0, PrefactorMode.SHARPENED)
+    assert all(e is t3 for e in (
+        bounds.family_rhs(T3, 0.5, 2.0, "sharpened"),
+        bounds.family_rhs(T3, 0.5, q=2.0, constant_mode="sharpened")))
+    t3_verbatim = bounds.family_rhs(T3, 0.5, 2.0)
+    assert t3_verbatim is bounds.family_rhs(T3, 0.5, 2.0, "verbatim")
+    assert t3_verbatim is not t3
+    info = bounds._family_evaluator.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)
+    # the right sides and reports read the same four
+    assert t1_rhs(f, OFF, pt, 0.5) == t1(f, OFF, pt)
+    assert t2_rhs(f, OFF, pt, 0.5, 3.0) == t2(f, OFF, pt)
+    assert t3_rhs(f, OFF, pt, 0.5, 2.0, "sharpened") == t3(f, OFF, pt)
+    corner_report(TheoremId.T3, Corner.AC, f, OFF, 0.5, 2.0, constant_mode="sharpened")
+    midpoint_report(TheoremId.T1, f, OFF, 0.5, 3.0)
+    assert bounds._family_evaluator.cache_info().misses == 4
 
 
 def test_a_bad_exponent_raises_every_time_and_is_never_remembered():
@@ -324,7 +372,7 @@ def test_a_bad_exponent_raises_every_time_and_is_never_remembered():
                      lambda: t3_rhs(f, OFF, pt, 0.5, 2.0, "bogus")):
             with pytest.raises(ValueError):
                 call()
-    assert bounds.family_rhs.cache_info().currsize == 0
+    assert bounds._family_evaluator.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("first,second", [(2, 2.0), (2.0, 2)], ids=["int-first", "float-first"])
@@ -334,3 +382,44 @@ def test_integer_and_float_q_give_equal_right_sides(first, second):
         for mode in PrefactorMode:
             assert t3_rhs(f, OFF, pt, 0.5, first, mode) == t3_rhs(f, OFF, pt, 0.5, second, mode)
         assert t2_rhs(f, OFF, pt, 0.5, first) == t2_rhs(f, OFF, pt, 0.5, second)
+
+
+# ---------------------------------------------------------------------------
+# the cost of a warm lookup
+# ---------------------------------------------------------------------------
+
+def _python_calls(fn, *args, **kwargs) -> list[str]:
+    """The Python functions a warm call fn(*args, **kwargs) enters, fn
+    included, by name: sys.setprofile reports a "call" event for each
+    Python frame and none for C code, such as a C-level hash."""
+    fn(*args, **kwargs)
+    names, profiler = [], sys.getprofile()
+    sys.setprofile(lambda frame, event, arg:
+                   names.append(frame.f_code.co_name) if event == "call" else None)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(profiler)
+    return names
+
+
+def test_a_warm_lookup_runs_no_python_level_hash_or_coercion():
+    f, pt, cfg = catalog_lookup("u2.5v2"), POINTS[1], QuadConfig()
+    # t1_rhs..t3_rhs reach the cached evaluator with C-level key hashes
+    # only, then run the evaluator, its formula closure, and _t1 or the
+    # point's quadrant-sum memo; Rect.area is an attribute
+    for call in ((t1_rhs, f, OFF, pt, 0.5), (t2_rhs, f, OFF, pt, 0.5, 2.0),
+                 (t3_rhs, f, OFF, pt, 0.5, 2.0, PrefactorMode.SHARPENED)):
+        calls = _python_calls(*call)
+        assert len(calls) == 4, calls
+    # lemma_lhs on the quadrature path: one point check (2 frames), the
+    # path choice, and the left-side formula with its corner sum; no enum
+    # coercion, and C-level Rect and QuadConfig hashes
+    calls = _python_calls(lemma_lhs, f, OFF, pt, cfg=cfg)
+    assert len(calls) == 6, calls
+    # a t1 corner report: the lemma_lhs and t1 right side above, through
+    # family_rhs; the corner's point and its EvalPoint; four reads of an
+    # enum's .value, 2 frames each; _params, _finish, the holds rule and
+    # the report's __init__
+    calls = _python_calls(corner_report, TheoremId.T1, Corner.AD, f, OFF, 0.5, cfg=cfg)
+    assert len(calls) == 27, calls
